@@ -13,6 +13,8 @@
 //! * [`v100`] — the 432-GPU V100 cluster reference point of Herault et
 //!   al. used by Fig 15's ">100× FP16 throughput" claim.
 
+#![forbid(unsafe_code)]
+
 pub mod a100;
 pub mod nccl;
 pub mod v100;

@@ -10,12 +10,15 @@ use tsm_bench::{attribution_bench, cosim_bench, figures, residency_bench, servin
 /// Measures the canonical co-simulation workload plus the full scaling
 /// curve (16 → 72 → 288 → 10,440 chips) and records the sample in
 /// `BENCH_cosim.json` (current directory), the file tracked PR-to-PR for
-/// the engine's perf trajectory.
+/// the engine's perf trajectory. The blocks other sections splice into
+/// that file are carried over unchanged.
 fn emit_bench_cosim() -> Vec<String> {
     let mut result = cosim_bench::measure(5);
     result.scaling = cosim_bench::measure_scaling(3, usize::MAX);
     let mut out = cosim_bench::lines_for(&result);
-    match std::fs::write("BENCH_cosim.json", result.to_json()) {
+    let existing = std::fs::read_to_string("BENCH_cosim.json").unwrap_or_default();
+    let record = serving_bench::carry_spliced_blocks(&existing, &result.to_json());
+    match std::fs::write("BENCH_cosim.json", record) {
         Ok(()) => out.push("wrote BENCH_cosim.json".to_string()),
         Err(e) => out.push(format!("could not write BENCH_cosim.json: {e}")),
     }

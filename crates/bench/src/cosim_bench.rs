@@ -548,7 +548,7 @@ pub fn measure(samples: usize) -> CosimBenchResult {
         // descriptors — shape extraction, payload materialization, plan
         // compile, fresh executor, one execution. Exactly the work
         // `run_transfers_serial` repeats on every call. Serial executor on
-        // both sides so the comparison is free of thread-pool noise.
+        // both sides so the comparison is free of worker-thread noise.
         let t2 = Instant::now();
         let cold_shapes: Vec<TransferShape> = transfers.iter().map(TransferShape::from).collect();
         let cold_payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();

@@ -7,6 +7,8 @@
 //! print the series once per run, so `cargo bench` leaves a full
 //! paper-vs-measured record in its log).
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod attribution_bench;
 pub mod cosim_bench;

@@ -712,10 +712,61 @@ pub fn splice_block(existing: &str, key: &str, block: &str) -> String {
     )
 }
 
+/// The top-level blocks that other bench sections splice into
+/// `BENCH_cosim.json`, in the order they appear there.
+pub const SPLICED_BLOCKS: [&str; 4] = ["serving", "residency", "telemetry", "attribution"];
+
+/// Carries every [`SPLICED_BLOCKS`] entry of `existing` over into the
+/// freshly written cosim record `fresh`, so `repro bench-cosim` refreshes
+/// its own fields without dropping the other sections' records. Each
+/// carried block is byte-identical to its text in `existing`.
+pub fn carry_spliced_blocks(existing: &str, fresh: &str) -> String {
+    SPLICED_BLOCKS.iter().fold(fresh.to_string(), |doc, key| {
+        match top_level_block(existing, key) {
+            Some(block) => splice_block(&doc, key, &block),
+            None => doc,
+        }
+    })
+}
+
+/// The value of top-level `key` in `doc`, de-indented to the form
+/// [`splice_block`] takes (the inverse of its two-space re-indent), so
+/// splicing it back reproduces its bytes.
+fn top_level_block(doc: &str, key: &str) -> Option<String> {
+    let (_, start, end) = top_level_pair(doc, key)?;
+    Some(doc[start..end].replace("\n  ", "\n"))
+}
+
 /// Removes a top-level `"key": <value>` pair (object, array, or scalar
 /// value) from a JSON object document, swallowing the separating comma.
 /// Returns the input unchanged when the key is absent at depth 1.
 fn remove_top_level_key(s: &str, key: &str) -> String {
+    let Some((i, _, end)) = top_level_pair(s, key) else {
+        return s.to_string();
+    };
+    let bytes = s.as_bytes();
+    // Swallow a following comma, else the preceding one.
+    let cut_start;
+    let mut cut_end = end;
+    let mut k = end;
+    while k < bytes.len() && bytes[k].is_ascii_whitespace() {
+        k += 1;
+    }
+    let lead = s[..i].trim_end().len();
+    if k < bytes.len() && bytes[k] == b',' {
+        cut_start = lead;
+        cut_end = k + 1;
+    } else if s[..lead].ends_with(',') {
+        cut_start = lead - 1;
+    } else {
+        cut_start = lead;
+    }
+    format!("{}{}", &s[..cut_start], &s[cut_end..])
+}
+
+/// Locates the top-level `"key": <value>` pair of a JSON object document:
+/// the byte index of the key's opening quote and the value's byte range.
+fn top_level_pair(s: &str, key: &str) -> Option<(usize, usize, usize)> {
     let bytes = s.as_bytes();
     let pat = format!("\"{key}\"");
     let (mut depth, mut in_str, mut esc) = (0i64, false, false);
@@ -743,24 +794,7 @@ fn remove_top_level_key(s: &str, key: &str) -> String {
                     while bytes[j].is_ascii_whitespace() || bytes[j] == b':' {
                         j += 1;
                     }
-                    let end = value_end(s, j);
-                    // Swallow a following comma, else the preceding one.
-                    let cut_start;
-                    let mut cut_end = end;
-                    let mut k = end;
-                    while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-                        k += 1;
-                    }
-                    let lead = s[..i].trim_end().len();
-                    if k < bytes.len() && bytes[k] == b',' {
-                        cut_start = lead;
-                        cut_end = k + 1;
-                    } else if s[..lead].ends_with(',') {
-                        cut_start = lead - 1;
-                    } else {
-                        cut_start = lead;
-                    }
-                    return format!("{}{}", &s[..cut_start], &s[cut_end..]);
+                    return Some((i, j, value_end(s, j)));
                 }
                 in_str = true;
             }
@@ -768,7 +802,7 @@ fn remove_top_level_key(s: &str, key: &str) -> String {
         }
         i += 1;
     }
-    s.to_string()
+    None
 }
 
 /// The byte index one past the JSON value starting at `from`.
@@ -862,6 +896,37 @@ mod tests {
         assert!(!out.contains("\"serving\": 7"));
         assert!(out.contains("\"chips\": 16,"));
         assert!(out.contains("\"seed\": 5"));
+    }
+
+    /// The `repro bench-cosim` write path keeps every other section's
+    /// block byte-for-byte while replacing its own fields.
+    #[test]
+    fn carry_keeps_every_spliced_block_byte_for_byte() {
+        let blocks = [
+            "  \"serving\": {\n    \"seed\": 7,\n    \"sweep\": [{\"p50\": 1.5}, {\"note\": \"a}b\"}]\n  }",
+            "  \"residency\": {\n    \"hits\": 3,\n    \"warm\": {\n      \"ok\": true\n    }\n  }",
+            "  \"telemetry\": {\"window\": 64, \"series\": [\"x\\\"y\"]}",
+            "  \"attribution\": {\n    \"stages\": [\n      1,\n      2\n    ]\n  }",
+        ];
+        let existing = format!(
+            "{{\n  \"bench\": \"cosim_throughput\",\n  \"warm_ns\": 1,\n{}\n}}\n",
+            blocks.join(",\n")
+        );
+        let fresh = "{\n  \"bench\": \"cosim_throughput\",\n  \"warm_ns\": 2\n}\n";
+        let out = carry_spliced_blocks(&existing, fresh);
+        assert!(out.contains("\"warm_ns\": 2,"), "fresh fields win:\n{out}");
+        assert!(!out.contains("\"warm_ns\": 1"));
+        for block in blocks {
+            assert!(
+                out.contains(block),
+                "block lost or altered:\n{block}\n---\n{out}"
+            );
+        }
+        // Same key order as the other sections leave it, and a fixed point.
+        assert_eq!(out, existing.replace("\"warm_ns\": 1", "\"warm_ns\": 2"));
+        assert_eq!(carry_spliced_blocks(&out, &out), out);
+        // A record with no spliced blocks carries nothing.
+        assert_eq!(carry_spliced_blocks("{}\n", fresh), fresh);
     }
 
     /// Tiny end-to-end measure: a 4-encoder model over a short horizon.

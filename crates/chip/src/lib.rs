@@ -18,6 +18,8 @@
 //!   instruction queues with SYNC/NOTIFY/DESKEW semantics, SRAM and stream
 //!   state, and static-hazard detection.
 
+#![forbid(unsafe_code)]
+
 pub mod exec;
 pub mod gemm_program;
 pub mod mxm;

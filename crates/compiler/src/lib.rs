@@ -22,6 +22,8 @@
 //! * [`balance`] — the FLOPs-only vs data-movement-aware optimization
 //!   levels compared in Fig 20.
 
+#![forbid(unsafe_code)]
+
 pub mod balance;
 pub mod collective;
 pub mod collectives_ext;

@@ -7,18 +7,17 @@
 //! lowering or stream allocation happens here. This is the runtime half of
 //! the paper's compile-once / execute-many contract (§5, Fig 17).
 //!
-//! Parallelism comes from a persistent worker pool: workers are created
-//! once (lazily, at the first parallel execution) and each hop-depth level
-//! is a single epoch dispatch. Which worker runs which chip is fixed at
-//! plan-compile time by [`ChipPlan::shard`] — a hash of the TSP id — so
-//! the assignment depends on the plan alone, never on OS scheduling. Every
-//! observable (results, traces, metrics, the first error) is merged on the
-//! calling thread in ascending `(depth, TspId)` order, which is what makes
-//! serial and parallel execution bit-identical.
+//! Every chip's inputs are bound from the plan's manifest before any chip
+//! runs, so chips carry no data dependency on each other at execute time.
+//! The parallel path is therefore one scoped fan-out per execution: worker
+//! `w` runs the chips whose compile-time [`ChipPlan::shard`] (a hash of the
+//! TSP id) lands on `w`, so the assignment depends on the plan alone, never
+//! on OS scheduling. Every observable (results, traces, metrics, the first
+//! error) is merged on the calling thread in ascending `(depth, TspId)`
+//! order, which is what makes serial and parallel execution bit-identical.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tsm_chip::exec::{ChipSim, Payload};
@@ -33,7 +32,6 @@ use tsm_trace::telemetry::{self, Sampler, Telemetry, TelemetryConfig};
 use tsm_trace::{names, EventKind, Metrics, TraceSink, Tracer};
 
 use super::plan::{ChipPlan, CompiledPlan, PlannedDelivery, VecRef};
-use super::pool::WorkerPool;
 use super::verify::{verify_destinations, verify_emissions};
 use super::{CosimError, CosimReport};
 
@@ -176,48 +174,13 @@ fn transmit_delivery(
     }
 }
 
-/// One chip's pending level result. Workers write disjoint slots (the
-/// shard partition guarantees exclusivity); the calling thread reads them
-/// after the dispatch barrier.
-#[derive(Debug, Default)]
-struct SlotCell(UnsafeCell<Option<Result<u64, CosimError>>>);
-
-// Safety: slot `i` is written by exactly one worker per level (the one
-// owning `chips[i].shard % workers`) and only read on the calling thread
-// after the pool's dispatch barrier, which orders the accesses.
-unsafe impl Sync for SlotCell {}
-
-/// The simulator array as a raw base pointer, so workers can reach their
-/// own shard's simulators. Disjointness comes from the same shard
-/// partition that protects [`SlotCell`].
-#[derive(Clone, Copy)]
-struct SimsPtr(*mut ChipSim);
-
-unsafe impl Send for SimsPtr {}
-unsafe impl Sync for SimsPtr {}
-
-impl SimsPtr {
-    /// The simulator at index `i`.
-    ///
-    /// # Safety
-    /// `i` is in bounds and no other reference to this simulator exists
-    /// for the lifetime of the returned borrow (the executor's shard
-    /// partition guarantees this during a level dispatch).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn chip(&self, i: usize) -> &mut ChipSim {
-        &mut *self.0.add(i)
-    }
-}
-
 /// Reusable payload-binding executor.
 ///
 /// One `PlanExecutor` can run many plans and many payload sets; its chip
 /// simulators are reset (allocations retained) at the start of every
 /// execution, so no state leaks between invocations and no state is
-/// rebuilt. Its worker pool and result slots persist the same way, so the
-/// warm path neither spawns threads nor allocates per launch. Serial and
-/// parallel execution are bit-identical — see the module docs of
-/// [`super`].
+/// rebuilt. Serial and parallel execution are bit-identical — see the
+/// module docs of [`super`].
 #[derive(Debug, Default)]
 pub struct PlanExecutor {
     /// Per-chip simulators, aligned by index with the executing plan's
@@ -235,12 +198,6 @@ pub struct PlanExecutor {
     /// Explicit worker-count override (the `set_threads` knob); `None`
     /// defers to `TSM_THREADS`, then to `available_parallelism`.
     threads: Option<usize>,
-    /// Persistent workers, built lazily at the first parallel execution
-    /// and rebuilt only when the resolved width changes.
-    pool: Option<WorkerPool>,
-    /// Per-chip result slots, grown on demand and reused across
-    /// executions (the allocation-free warm path).
-    slots: Vec<SlotCell>,
     /// Windowed-telemetry sampling config; `None` (the default) keeps
     /// the sampler detached and every sampling point behind one branch,
     /// so disabled telemetry is bit- and trace-identical to pre-feature
@@ -308,17 +265,10 @@ impl PlanExecutor {
     }
 
     /// Pins the parallel worker count (clamped to at least 1). Overrides
-    /// the `TSM_THREADS` environment variable; the pool is rebuilt at the
-    /// next parallel execution if the width changed. Has no effect on the
-    /// serial entry points.
+    /// the `TSM_THREADS` environment variable. Has no effect on the serial
+    /// entry points.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = Some(threads.max(1));
-    }
-
-    /// Reverts to automatic worker-count resolution (`TSM_THREADS`, then
-    /// `available_parallelism`).
-    pub fn set_threads_auto(&mut self) {
-        self.threads = None;
     }
 
     /// The worker count a parallel execution would use right now:
@@ -340,9 +290,8 @@ impl PlanExecutor {
             .unwrap_or(1)
     }
 
-    /// Binds `payloads` to `plan` and executes it, chips within a hop
-    /// level in parallel on the persistent worker pool (width per
-    /// [`PlanExecutor::resolved_threads`]).
+    /// Binds `payloads` to `plan` and executes it, chips fanned out over
+    /// [`PlanExecutor::resolved_threads`] workers.
     ///
     /// `payloads[t][v]` is vector `v` of transfer `t` and must match the
     /// plan's [`TransferShape`]s exactly.
@@ -418,7 +367,7 @@ impl PlanExecutor {
         let bind = |r: &VecRef| Arc::clone(&payloads[r.transfer as usize][r.vector as usize]);
 
         // Per-run observability state. All emission points below sit on
-        // the serial spine (this bind loop and the post-level merge loop),
+        // the serial spine (this bind loop and the merge loop),
         // so the event sequence — not just the sorted set — is identical
         // between serial and parallel execution.
         let metrics = Metrics::default();
@@ -549,111 +498,73 @@ impl PlanExecutor {
             });
         }
 
-        // Each chip runs exactly once, levels in topological order. A
-        // level is one pool dispatch: worker `w` runs the chips whose
-        // compile-time shard lands on `w`, writing retire results into
-        // per-chip slots and tallies into its own metrics instance. The
-        // serial path runs the identical per-chip code inline into the
-        // same slots. Either way, the merge below walks the level in
-        // ascending TspId order on this thread, so the first error in
-        // (depth, TspId) order — and every trace event — is identical in
-        // both modes.
+        // Each chip runs exactly once. The parallel path runs every chip in
+        // one fan-out first (worker `w` owns the chips whose compile-time
+        // shard lands on `w`, tallying into its own metrics); the serial
+        // path runs each chip inline as the merge reaches it. Either way
+        // the merge walks the levels in ascending (depth, TspId) order on
+        // this thread, so the first error — and every trace event — is
+        // identical in both modes.
         let threads = if parallel { self.resolved_threads() } else { 1 };
-        if threads > 1 && self.pool.as_ref().is_none_or(|p| p.workers() != threads) {
-            self.pool = Some(WorkerPool::new(threads));
-        }
-        if self.slots.len() < plan.chips.len() {
-            self.slots.resize_with(plan.chips.len(), SlotCell::default);
-        }
-        for slot in &mut self.slots {
-            *slot.0.get_mut() = None;
-        }
-        let worker_metrics: Vec<Metrics> = (0..threads).map(|_| Metrics::default()).collect();
+        let (mut fanned, worker_metrics) = if threads > 1 {
+            let (results, metrics) =
+                fan_out(plan, &mut self.sims[..plan.chips.len()], payloads, threads);
+            (Some(results), metrics)
+        } else {
+            (None, vec![Metrics::default()])
+        };
         let mut retire_cycles = HashMap::new();
-        for level in &plan.levels {
-            if level.is_empty() {
-                continue;
-            }
-            if threads <= 1 {
-                for &i in level {
-                    let chip = &plan.chips[i as usize];
-                    let res = run_chip(
-                        plan,
-                        chip,
-                        &mut self.sims[i as usize],
-                        payloads,
-                        &worker_metrics[0],
-                    );
-                    *self.slots[i as usize].0.get_mut() = Some(res);
-                }
-            } else {
-                let pool = self.pool.as_ref().expect("pool built above");
-                let sims = SimsPtr(self.sims.as_mut_ptr());
-                let slots = &self.slots[..];
-                pool.dispatch(&|w| {
-                    for &i in level {
-                        let chip = &plan.chips[i as usize];
-                        if chip.shard as usize % threads != w {
-                            continue;
-                        }
-                        // Safety: the shard test above partitions the
-                        // level across workers, so index `i` is touched
-                        // by this worker alone; the dispatch barrier
-                        // publishes the writes to the merge loop.
-                        let sim = unsafe { sims.chip(i as usize) };
-                        let res = run_chip(plan, chip, sim, payloads, &worker_metrics[w]);
-                        unsafe { *slots[i as usize].0.get() = Some(res) };
-                    }
-                });
-            }
-            // Merge on the calling thread, ascending TspId order.
-            for &i in level {
-                let chip = &plan.chips[i as usize];
-                let retire = self.slots[i as usize]
-                    .0
-                    .get_mut()
+        for &i in plan.levels.iter().flatten() {
+            let chip = &plan.chips[i as usize];
+            let retire = match fanned.as_mut() {
+                Some(results) => results[i as usize]
                     .take()
-                    .expect("every level chip is owned by exactly one worker")?;
-                retire_cycles.insert(chip.tsp, retire);
-                // The per-chip occupancy heatmap samples the same
-                // issue→retire span the ChipExec trace event covers, but
-                // independently of whether a sink is attached — telemetry
-                // works trace-off, and tracing works telemetry-off.
-                if let Some(s) = self.sampler.as_mut() {
-                    let start = plan.program(chip).first().map_or(0, |i| i.cycle);
-                    s.count_span(
-                        telemetry::series::CHIP_BUSY,
-                        &format!("chip{}", chip.tsp.0),
-                        self.trace_offset.saturating_add(start),
-                        retire.saturating_sub(start).max(1),
-                    );
-                }
-                if tracer.enabled() {
-                    let lane = chip.tsp.0;
-                    let instrs = plan.program(chip);
-                    let start = instrs.first().map_or(0, |i| i.cycle);
+                    .expect("every chip runs in exactly one worker"),
+                None => run_chip(
+                    plan,
+                    chip,
+                    &mut self.sims[i as usize],
+                    payloads,
+                    &worker_metrics[0],
+                ),
+            }?;
+            retire_cycles.insert(chip.tsp, retire);
+            // The per-chip occupancy heatmap samples the same
+            // issue→retire span the ChipExec trace event covers, but
+            // independently of whether a sink is attached — telemetry
+            // works trace-off, and tracing works telemetry-off.
+            if let Some(s) = self.sampler.as_mut() {
+                let start = plan.program(chip).first().map_or(0, |i| i.cycle);
+                s.count_span(
+                    telemetry::series::CHIP_BUSY,
+                    &format!("chip{}", chip.tsp.0),
+                    self.trace_offset.saturating_add(start),
+                    retire.saturating_sub(start).max(1),
+                );
+            }
+            if tracer.enabled() {
+                let lane = chip.tsp.0;
+                let instrs = plan.program(chip);
+                let start = instrs.first().map_or(0, |i| i.cycle);
+                tracer.span(
+                    start,
+                    retire.saturating_sub(start).max(1),
+                    lane,
+                    EventKind::ChipExec {
+                        depth: chip.depth,
+                        instructions: instrs.len() as u32,
+                    },
+                );
+                if let (Some(first), Some(last)) = (chip.emissions.first(), chip.emissions.last()) {
+                    // Emissions are stored sorted by (cycle, port).
                     tracer.span(
-                        start,
-                        retire.saturating_sub(start).max(1),
+                        first.cycle,
+                        (last.cycle - first.cycle).max(1),
                         lane,
-                        EventKind::ChipExec {
-                            depth: chip.depth,
-                            instructions: instrs.len() as u32,
+                        EventKind::Emissions {
+                            count: chip.emissions.len() as u32,
                         },
                     );
-                    if let (Some(first), Some(last)) =
-                        (chip.emissions.first(), chip.emissions.last())
-                    {
-                        // Emissions are stored sorted by (cycle, port).
-                        tracer.span(
-                            first.cycle,
-                            (last.cycle - first.cycle).max(1),
-                            lane,
-                            EventKind::Emissions {
-                                count: chip.emissions.len() as u32,
-                            },
-                        );
-                    }
                 }
             }
         }
@@ -695,12 +606,61 @@ impl PlanExecutor {
     }
 }
 
-/// Runs one chip of one level: executes its slab window, verifies its
-/// emission manifest, and tallies its retire cycle into `metrics`.
+/// Runs every chip of `plan` once, fanned out over `threads` scoped
+/// workers: worker `w` owns the chips whose `shard % threads == w`, and
+/// worker 0 is the calling thread. The shard split hands each worker
+/// disjoint `&mut ChipSim` borrows, so no chip is shared. Returns each
+/// chip's result, indexed like `plan.chips`, and each worker's tallies in
+/// worker-index order. A worker panic propagates to the caller.
+fn fan_out(
+    plan: &CompiledPlan,
+    sims: &mut [ChipSim],
+    payloads: &[Vec<Payload>],
+    threads: usize,
+) -> (Vec<Option<Result<u64, CosimError>>>, Vec<Metrics>) {
+    let mut buckets: Vec<Vec<(usize, &mut ChipSim)>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, (chip, sim)) in plan.chips.iter().zip(sims).enumerate() {
+        buckets[chip.shard as usize % threads].push((i, sim));
+    }
+    let run_bucket = |bucket: Vec<(usize, &mut ChipSim)>| {
+        let metrics = Metrics::default();
+        let results: Vec<_> = bucket
+            .into_iter()
+            .map(|(i, sim)| (i, run_chip(plan, &plan.chips[i], sim, payloads, &metrics)))
+            .collect();
+        (results, metrics)
+    };
+    let mut buckets = buckets.into_iter();
+    let own = buckets.next().expect("at least one worker");
+    let outputs = std::thread::scope(|s| {
+        // Workers with no chips have nothing to run or report.
+        let spawned: Vec<_> = buckets
+            .filter(|b| !b.is_empty())
+            .map(|b| s.spawn(move || run_bucket(b)))
+            .collect();
+        let mut outputs = vec![run_bucket(own)];
+        for h in spawned {
+            outputs.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        outputs
+    });
+    let mut results: Vec<_> = (0..plan.chips.len()).map(|_| None).collect();
+    let mut worker_metrics = Vec::with_capacity(outputs.len());
+    for (worker_results, metrics) in outputs {
+        for (i, res) in worker_results {
+            results[i] = Some(res);
+        }
+        worker_metrics.push(metrics);
+    }
+    (results, worker_metrics)
+}
+
+/// Runs one chip: executes its slab window, verifies its emission
+/// manifest, and tallies its retire cycle into `metrics`.
 ///
-/// This is the *entire* per-chip level body, shared verbatim by the
-/// serial path and the pool workers — the two modes differ only in which
-/// thread calls it, which is exactly the determinism argument.
+/// This is the *entire* per-chip body, shared verbatim by the serial path
+/// and the fan-out workers — the two modes differ only in which thread
+/// calls it, which is exactly the determinism argument.
 fn run_chip(
     plan: &CompiledPlan,
     chip: &ChipPlan,

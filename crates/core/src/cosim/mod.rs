@@ -54,20 +54,19 @@
 //!
 //! # Determinism contract
 //!
-//! Chips at the same hop depth are independent (their inputs come only
-//! from shallower depths), so each depth level executes in parallel on a
-//! persistent worker pool (one epoch dispatch per level; workers are
-//! created once per executor, and chips map to workers by a shard key
-//! fixed at plan-compile time). Parallel and serial runs are
+//! Every chip's inputs come from the materialized manifest, bound before
+//! any chip runs, so chips are independent of each other at execute time
+//! and hop depth only orders the merge. The parallel engine runs all chips
+//! in one scoped fan-out per execution (chips map to workers by a shard
+//! key fixed at plan-compile time). Parallel and serial runs are
 //! **bit-identical**: every chip's execution is a pure function of its
-//! program and materialized deliveries, and per-level results are merged
-//! in ascending [`TspId`] order regardless of thread completion order —
-//! the first error in (depth, TspId) order is the one reported, in both
+//! program and materialized deliveries, and results are merged in
+//! ascending (depth, [`TspId`]) order regardless of thread completion
+//! order — the first error in that order is the one reported, in both
 //! modes.
 
 pub mod exec;
 pub mod plan;
-mod pool;
 mod verify;
 
 pub use exec::{LinkFaultModel, PlanExecutor, TargetedFlip};
@@ -304,7 +303,7 @@ pub(crate) const READ_LATENCY: u64 = 5;
 pub(crate) const SCRATCH_SLICE: u8 = 80;
 
 /// One-shot co-simulation: compiles the transfers into a [`CompiledPlan`]
-/// and executes it once with their payloads, depth levels in parallel.
+/// and executes it once with their payloads, chips fanned out in parallel.
 ///
 /// Callers that run the same transfer shapes repeatedly should hold on to
 /// the plan ([`compile_plan`]) and a [`PlanExecutor`] instead — this

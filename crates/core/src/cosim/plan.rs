@@ -113,7 +113,7 @@ pub struct PlannedEmission {
 pub struct ChipPlan {
     /// The chip.
     pub tsp: TspId,
-    /// Hop depth (0 = pure source); chips execute level by level.
+    /// Hop depth (0 = pure source); results merge level by level.
     pub depth: u32,
     /// Stable shard key (FNV-1a over the TSP id), fixed at compile time.
     /// The parallel executor assigns this chip to worker
@@ -149,11 +149,13 @@ pub struct CompiledPlan {
     pub chips: Vec<ChipPlan>,
     /// Every chip's issue-sorted instruction stream, laid out
     /// back-to-back in chip order. One allocation for the whole plan:
-    /// executing a level walks this slab linearly instead of chasing one
+    /// executing the chips walks this slab linearly instead of chasing one
     /// heap vector per chip.
     pub slab: Vec<TimedInstruction>,
-    /// Hop-depth levels: indices into `chips`. Chips within a level are
-    /// mutually independent; levels execute in order.
+    /// Hop-depth levels: indices into `chips`, each level in ascending
+    /// [`TspId`] order. They fix the merge/report order of chip results,
+    /// trace events and the first error; chips themselves are independent
+    /// at execute time.
     pub levels: Vec<Vec<u32>>,
     /// Per-transfer scheduled arrival cycle of the last vector.
     pub arrivals: Vec<u64>,
@@ -702,8 +704,8 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
 
     // Assemble per-chip plans in ascending TspId order and group them into
     // hop-depth levels: a chip at depth d receives only from chips at
-    // depth < d, so levels execute in topological order and chips within a
-    // level are mutually independent.
+    // depth < d, so levels give the topological order the executor merges
+    // results in.
     let mut tsps: Vec<TspId> = programs.keys().copied().collect();
     tsps.sort();
     let mut chips = Vec::with_capacity(tsps.len());

@@ -21,6 +21,8 @@
 //! assert_eq!(report.estimated_cycles, 9000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cosim;
 pub mod flight;
 pub mod launch;

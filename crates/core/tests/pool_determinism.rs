@@ -1,15 +1,16 @@
-//! Worker-pool determinism contract: for ANY worker count — more workers
-//! than chips, fewer workers than chips, odd widths, width changes on a
-//! live executor — the parallel engine's report AND its trace event
-//! stream are bit-identical to the serial engine's. The pool, the
-//! compile-time shard partition, and the spine-side merge are the
-//! tentpole of the parallel executor; these tests are its oracle.
+//! Parallel-executor determinism contract: for ANY worker count — more
+//! workers than chips, fewer workers than chips, odd widths, width changes
+//! on a live executor, chip-level errors — the parallel engine's report
+//! (or error) AND its trace event stream are bit-identical to the serial
+//! engine's. The fan-out, the compile-time shard partition, and the
+//! spine-side merge are the parallel executor; these tests are its oracle.
 
 #![allow(dead_code)]
 
 use std::sync::Arc;
 use tsm_core::cosim::{
-    compile_plan, CompiledPlan, CosimTransfer, LinkFaultModel, PlanExecutor, TransferShape,
+    compile_plan, CompiledPlan, CosimError, CosimTransfer, LinkFaultModel, PlanExecutor,
+    TransferShape,
 };
 use tsm_isa::Vector;
 use tsm_topology::{Topology, TspId};
@@ -138,8 +139,8 @@ proptest! {
         prop_assert_eq!(got_events, want_events);
     }
 
-    /// One executor re-used across changing worker counts (forcing pool
-    /// rebuilds) and repeated runs stays bit-identical throughout.
+    /// One executor re-used across changing worker counts and repeated
+    /// runs stays bit-identical throughout.
     #[test]
     fn width_changes_on_a_live_executor_stay_identical(
         raw in prop::collection::vec(raw_transfer(), 1..=4),
@@ -161,12 +162,9 @@ proptest! {
     }
 }
 
-/// Deterministic pin of the extremes on a fixed workload: 1 worker, a few
-/// odd widths, and a width far beyond the chip count all reproduce the
-/// serial report and trace exactly. Runs a deep (multi-hop, uneven-level)
-/// dragonfly so levels of very different populations are covered.
-#[test]
-fn fixed_workload_all_widths_identical() {
+/// A deep (multi-hop, uneven-level) dragonfly workload, so levels of very
+/// different populations are covered.
+fn fixed_workload() -> (CompiledPlan, Vec<Vec<Payload>>) {
     let topo = Topology::rack_dragonfly(2).expect("topology builds");
     let raw: Vec<RawTransfer> = vec![
         (0, 140, 1, 2, 12, 0x5a),
@@ -177,8 +175,16 @@ fn fixed_workload_all_widths_identical() {
     let transfers = build_transfers(&topo, &raw);
     let shapes: Vec<TransferShape> = transfers.iter().map(TransferShape::from).collect();
     let plan = compile_plan(&topo, &shapes).unwrap();
-    let payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();
+    let payloads = transfers.iter().map(CosimTransfer::payload).collect();
+    (plan, payloads)
+}
 
+/// Deterministic pin of the extremes on the fixed workload: 1 worker, a
+/// few odd widths, and a width far beyond the chip count all reproduce the
+/// serial report and trace exactly.
+#[test]
+fn fixed_workload_all_widths_identical() {
+    let (plan, payloads) = fixed_workload();
     let (want, want_events) = traced_run_with_threads(&plan, &payloads, None, None);
     want.as_ref().expect("fixed workload executes");
     for threads in [1usize, 2, 3, 5, 8, 64, 1000] {
@@ -210,7 +216,7 @@ fn thread_resolution_precedence() {
     assert_eq!(exec.resolved_threads(), 3);
     exec.set_threads(0); // clamped
     assert_eq!(exec.resolved_threads(), 1);
-    exec.set_threads_auto();
+    let exec = PlanExecutor::new();
     assert_eq!(exec.resolved_threads(), 7);
 
     for bad in ["0", "-4", "lots", ""] {
@@ -225,7 +231,7 @@ fn thread_resolution_precedence() {
     assert_eq!(exec.resolved_threads(), auto);
 }
 
-/// The pool actually executes on its workers: a 2-worker run on a
+/// The fan-out actually executes on its workers: a 2-worker run on a
 /// many-chip level completes (the shard partition covers every chip) and
 /// the executor can be dropped and rebuilt without hanging.
 #[test]
@@ -254,6 +260,66 @@ fn pool_lifecycle_smoke() {
         let a = exec.execute(&plan, &payloads).unwrap();
         let b = exec.execute(&plan, &payloads).unwrap();
         assert_eq!(a, b, "warm re-execution is bit-identical");
-        drop(exec); // joins the pool; must not hang
+        drop(exec);
+    }
+}
+
+/// A chip-level error on the parallel path. Forged emission promises on
+/// two chips at different depths both fail verification: every width
+/// reports the shallower chip's mismatch, with the serial engine's exact
+/// event sequence. The fan-out runs deeper chips past that error, so the
+/// same executor's next execute of the genuine plan must still equal the
+/// reference report — reset-not-rebuild leaks nothing across the failure.
+#[test]
+fn chip_errors_match_serial_at_every_width() {
+    let (plan, payloads) = fixed_workload();
+    let reference = PlanExecutor::new()
+        .execute_serial(&plan, &payloads)
+        .expect("genuine plan executes");
+
+    // The first and last emitting chips in (depth, TspId) merge order.
+    let emitting = |i: &&u32| !plan.chips[**i as usize].emissions.is_empty();
+    let shallow = *plan.levels.iter().flatten().find(emitting).unwrap() as usize;
+    let deep = *plan.levels.iter().flatten().rev().find(emitting).unwrap() as usize;
+    assert!(plan.chips[shallow].depth < plan.chips[deep].depth);
+    let mut forged = plan.clone();
+    for i in [shallow, deep] {
+        // Bumping the last promise keeps the (cycle, port) sort intact.
+        forged.chips[i].emissions.last_mut().unwrap().cycle += 1;
+    }
+
+    let traced = |exec: &mut PlanExecutor, threads: Option<usize>| {
+        let sink = Arc::new(RingSink::new(1 << 16));
+        exec.set_trace_sink(sink.clone());
+        let got = match threads {
+            None => exec.execute_serial(&forged, &payloads),
+            Some(t) => {
+                exec.set_threads(t);
+                exec.execute(&forged, &payloads)
+            }
+        };
+        exec.clear_trace_sink();
+        assert_eq!(sink.dropped(), 0, "ring must be large enough for the run");
+        (got, sink.events())
+    };
+    let (want, want_events) = traced(&mut PlanExecutor::new(), None);
+    match &want {
+        Err(CosimError::EmissionMismatch { tsp, .. }) => assert_eq!(*tsp, plan.chips[shallow].tsp),
+        other => panic!("forged plan must fail emission verification: {other:?}"),
+    }
+    assert!(!want_events.is_empty());
+    for threads in 1..=8 {
+        let mut exec = PlanExecutor::new();
+        let (got, got_events) = traced(&mut exec, Some(threads));
+        assert_eq!(got, want, "error diverged at {threads} workers");
+        assert_eq!(
+            got_events, want_events,
+            "trace diverged at {threads} workers"
+        );
+        assert_eq!(
+            exec.execute(&plan, &payloads),
+            Ok(reference.clone()),
+            "state leaked past the failure at {threads} workers"
+        );
     }
 }

@@ -17,6 +17,8 @@
 //! architecturally visible state so a compiler can schedule the machine to
 //! the clock cycle (paper §3).
 
+#![forbid(unsafe_code)]
+
 pub mod encode;
 pub mod instr;
 pub mod packet;

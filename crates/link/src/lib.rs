@@ -18,6 +18,8 @@
 //!   a bit-error-rate model, producing deterministic delivery times given a
 //!   seeded RNG.
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod fec;
 pub mod latency;

@@ -17,6 +17,8 @@
 //! * [`event`] — the deterministic discrete-event core shared by the
 //!   dynamic simulator.
 
+#![forbid(unsafe_code)]
+
 pub mod dynamic;
 pub mod event;
 pub mod pushpull;

@@ -15,9 +15,10 @@ cargo test --workspace -q
 # serde round-trip) has its own integration suite; run it by name so a
 # filtered `cargo test` invocation can never silently skip it.
 cargo test -p tsm-core --test plan_reuse -q
-# The persistent worker pool behind the parallel engine: serial≡parallel
-# bit-identity and trace identity across randomized workloads and worker
-# counts, pool rebuilds on a live executor, TSM_THREADS resolution.
+# The parallel engine's scoped fan-out: serial≡parallel bit-identity and
+# trace identity across randomized workloads and worker counts, width
+# changes on a live executor, chip-level errors at every width, and
+# TSM_THREADS resolution.
 cargo test -p tsm-core --test pool_determinism -q
 # Likewise the fault path: datapath BER injection, FEC bit-for-bit
 # verification, and the replay/blame/failover recovery loop.
@@ -56,6 +57,10 @@ cargo test -p tsm-core --test attribution -q
 cargo test -p tsm-core --test flight -q
 cargo test -p tsm-fault -q
 cargo test -p tsm-link -q
+# The benchmark harness is its own package, built against the executor's
+# public API (set_threads, resolved_threads, execute_serial,
+# execute_with_faults); a library change that breaks it fails here.
+cargo test --release --manifest-path perfbench/Cargo.toml
 # Fast bench smoke: one sample of the canonical workload plus the small
 # end of the scaling curve, with bit-identity and trace-identity asserted
 # at every point. Writes no files, so it cannot clobber BENCH_cosim.json.
