@@ -28,7 +28,7 @@ use tsm_link::fec::FecOutcome;
 use tsm_link::latency::LatencyModel;
 use tsm_link::meter::LinkMeter;
 use tsm_topology::LinkId;
-use tsm_trace::telemetry::{self, Sampler, Telemetry, TelemetryConfig};
+use tsm_trace::telemetry::{Sampler, Telemetry, TelemetryConfig};
 use tsm_trace::{names, EventKind, Metrics, TraceSink, Tracer};
 
 use super::plan::{ChipPlan, CompiledPlan, PlannedDelivery, VecRef};
@@ -233,9 +233,9 @@ impl PlanExecutor {
 
     /// Enables windowed telemetry: subsequent executions derive per-link
     /// delivery and per-chip busy-cycle heatmaps on `cfg`'s window, at
-    /// absolute (offset-adjusted) launch-timeline cycles. Sampling sits
-    /// on the same serial code paths as trace emission, so it is
-    /// deterministic and observation-only.
+    /// absolute (offset-adjusted) launch-timeline cycles. The heatmaps
+    /// are folded from the `Delivery` and `ChipExec` events the executor
+    /// emits, so they agree with the trace and never feed execution.
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
         self.telemetry_cfg = Some(cfg);
     }
@@ -369,18 +369,19 @@ impl PlanExecutor {
         // Per-run observability state. All emission points below sit on
         // the serial spine (this bind loop and the merge loop),
         // so the event sequence — not just the sorted set — is identical
-        // between serial and parallel execution.
+        // between serial and parallel execution. The tracer hands each
+        // event to the telemetry sampler too: the link/chip heatmaps are a
+        // fold of the `Delivery` and `ChipExec` events at their absolute
+        // launch-timeline cycles, and accumulate across a launch's
+        // attempts until `take_telemetry` drains them.
+        let threads = if parallel { self.resolved_threads() } else { 1 };
         let metrics = Metrics::default();
-        let mut tracer = Tracer::new(self.sink.as_deref()).with_offset(self.trace_offset);
-        // Telemetry sampling shares those serial paths: heatmap samples
-        // are taken at absolute launch-timeline cycles (the trace offset
-        // applied), never fed back into execution, and accumulate across
-        // a launch's attempts until `take_telemetry` drains them.
         if let Some(cfg) = self.telemetry_cfg {
-            if self.sampler.is_none() {
-                self.sampler = Some(Sampler::new(cfg));
-            }
+            self.sampler.get_or_insert_with(|| Sampler::new(cfg));
         }
+        let mut tracer = Tracer::new(self.sink.as_deref())
+            .with_offset(self.trace_offset)
+            .with_sampler(self.sampler.as_mut());
 
         // Reset-not-rebuild: each chip's simulator keeps its allocations
         // across invocations; preloads and deliveries bind the new
@@ -451,7 +452,9 @@ impl PlanExecutor {
                 };
                 if landed {
                     // The cycle-coordinate ground truth the conformance
-                    // profiler joins against the plan's delivery manifest.
+                    // profiler joins against the plan's delivery manifest,
+                    // and the only input of the per-link heatmap — a
+                    // vector struck uncorrectable occupies no cell.
                     tracer.instant(
                         d.cycle,
                         lane,
@@ -461,17 +464,6 @@ impl PlanExecutor {
                             vector: d.vec.vector,
                         },
                     );
-                    // The per-link occupancy heatmap counts exactly the
-                    // vectors the trace records as arrived — a vector
-                    // struck uncorrectable occupies no heatmap cell.
-                    if let Some(s) = self.sampler.as_mut() {
-                        s.count(
-                            telemetry::series::LINK_DELIVERIES,
-                            &format!("link{}", d.link.0),
-                            self.trace_offset.saturating_add(d.cycle),
-                            1,
-                        );
-                    }
                 }
                 sim.deliver_in_order(d.port, d.cycle, payload);
             }
@@ -505,7 +497,6 @@ impl PlanExecutor {
         // the merge walks the levels in ascending (depth, TspId) order on
         // this thread, so the first error — and every trace event — is
         // identical in both modes.
-        let threads = if parallel { self.resolved_threads() } else { 1 };
         let (mut fanned, worker_metrics) = if threads > 1 {
             let (results, metrics) =
                 fan_out(plan, &mut self.sims[..plan.chips.len()], payloads, threads);
@@ -529,19 +520,6 @@ impl PlanExecutor {
                 ),
             }?;
             retire_cycles.insert(chip.tsp, retire);
-            // The per-chip occupancy heatmap samples the same
-            // issue→retire span the ChipExec trace event covers, but
-            // independently of whether a sink is attached — telemetry
-            // works trace-off, and tracing works telemetry-off.
-            if let Some(s) = self.sampler.as_mut() {
-                let start = plan.program(chip).first().map_or(0, |i| i.cycle);
-                s.count_span(
-                    telemetry::series::CHIP_BUSY,
-                    &format!("chip{}", chip.tsp.0),
-                    self.trace_offset.saturating_add(start),
-                    retire.saturating_sub(start).max(1),
-                );
-            }
             if tracer.enabled() {
                 let lane = chip.tsp.0;
                 let instrs = plan.program(chip);

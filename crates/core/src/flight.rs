@@ -23,9 +23,9 @@
 //! serialization uses the in-repo `JsonWriter`/`Cursor` (byte-reproducible,
 //! round-trip tested), and no wall clock is consulted anywhere.
 //!
-//! Off-is-off: a `Server` with `flight: None` never constructs a
-//! recorder, so outcomes, traces, and exporter bytes are bit-identical
-//! to a build without this module.
+//! The recorder is one fold over the serving run's single event stream:
+//! it is handed each serving-lane [`TraceEvent`] exactly as the trace
+//! sink receives it, so an incident's tail is a window of the trace.
 
 use crate::residency::{ResidencyManager, ResidencyStats, ResidentInfo};
 use std::collections::VecDeque;
@@ -50,6 +50,20 @@ impl Default for FlightConfig {
             max_incidents: 8,
         }
     }
+}
+
+/// The work queue's occupancy against its bounds at one serving fact —
+/// the queue snapshot an incident captures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueView {
+    /// Requests queued.
+    pub depth: u64,
+    /// The queue's admission capacity.
+    pub capacity: u64,
+    /// Tenants with at least one queued request.
+    pub tracked_tenants: u64,
+    /// The per-tenant in-queue quota.
+    pub tenant_quota: u64,
 }
 
 /// What fired an incident capture.
@@ -519,7 +533,7 @@ pub struct FlightRecorder {
     incidents: Vec<IncidentReport>,
     /// Total triggers fired, including ones dropped at capacity.
     fired: u64,
-    /// Sequence number of the next observed event.
+    /// Serving-lane events recorded so far.
     observed: u32,
 }
 
@@ -535,11 +549,8 @@ impl FlightRecorder {
         }
     }
 
-    /// Shadows one serving-lane event into the bounded tail. The
-    /// recorder stamps its own sequence numbers, so the tail is
-    /// well-formed even on runs with no trace sink attached.
-    pub fn observe(&mut self, cycle: u64, kind: EventKind) {
-        let seq = self.observed;
+    /// Appends one serving-lane event to the bounded tail, verbatim.
+    pub fn record(&mut self, event: TraceEvent) {
         self.observed = self.observed.wrapping_add(1);
         if self.cfg.trace_tail == 0 {
             return;
@@ -547,10 +558,16 @@ impl FlightRecorder {
         if self.tail.len() == self.cfg.trace_tail {
             self.tail.pop_front();
         }
-        self.tail.push_back(TraceEvent {
+        self.tail.push_back(event);
+    }
+
+    /// [`FlightRecorder::record`] for a bare `(cycle, kind)` fact, stamped
+    /// with the count of events recorded so far as its sequence number.
+    pub fn observe(&mut self, cycle: u64, kind: EventKind) {
+        self.record(TraceEvent {
             cycle,
             lane: SERVING_LANE,
-            seq,
+            seq: self.observed,
             dur: 0,
             kind,
         });
@@ -560,16 +577,12 @@ impl FlightRecorder {
     /// snapshots. Beyond `max_incidents` the trigger only advances the
     /// ordinal (visible as a `seq` gap and in
     /// [`FlightRecorder::dropped`]).
-    #[allow(clippy::too_many_arguments)]
     pub fn trigger(
         &mut self,
         trigger: IncidentTrigger,
         cycle: u64,
         residency: &ResidencyManager,
-        queue_depth: u64,
-        queue_capacity: u64,
-        tracked_tenants: u64,
-        tenant_quota: u64,
+        queue: QueueView,
     ) {
         let seq = self.fired;
         self.fired += 1;
@@ -583,10 +596,10 @@ impl FlightRecorder {
             trace_tail: self.tail.iter().copied().collect(),
             residency: residency.stats(),
             resident: residency.resident(),
-            queue_depth,
-            queue_capacity,
-            tracked_tenants,
-            tenant_quota,
+            queue_depth: queue.depth,
+            queue_capacity: queue.capacity,
+            tracked_tenants: queue.tracked_tenants,
+            tenant_quota: queue.tenant_quota,
             telemetry_window: None,
             telemetry: None,
         });
@@ -675,7 +688,17 @@ mod tests {
             f.observe(100 + u64::from(i), enqueue(i));
         }
         let res = ResidencyManager::new();
-        f.trigger(shed(9), 500, &res, 2, 4, 1, 2);
+        f.trigger(
+            shed(9),
+            500,
+            &res,
+            QueueView {
+                depth: 2,
+                capacity: 4,
+                tracked_tenants: 1,
+                tenant_quota: 2,
+            },
+        );
         let incidents = f.finish(None);
         let tail: Vec<u32> = incidents[0].trace_tail.iter().map(|e| e.seq).collect();
         assert_eq!(tail, vec![2, 3, 4], "oldest events fell off the front");
@@ -689,7 +712,17 @@ mod tests {
         });
         let res = ResidencyManager::new();
         for i in 0..5 {
-            f.trigger(shed(i), 100 + u64::from(i), &res, 0, 4, 0, 2);
+            f.trigger(
+                shed(i),
+                100 + u64::from(i),
+                &res,
+                QueueView {
+                    depth: 0,
+                    capacity: 4,
+                    tracked_tenants: 0,
+                    tenant_quota: 2,
+                },
+            );
         }
         assert_eq!(f.len(), 2);
         assert_eq!(f.dropped(), 3);
@@ -716,7 +749,17 @@ mod tests {
         let t = s.finish();
         let mut f = FlightRecorder::new(FlightConfig::default());
         let res = ResidencyManager::new();
-        f.trigger(shed(1), 350, &res, 1, 4, 1, 2);
+        f.trigger(
+            shed(1),
+            350,
+            &res,
+            QueueView {
+                depth: 1,
+                capacity: 4,
+                tracked_tenants: 1,
+                tenant_quota: 2,
+            },
+        );
         let incidents = f.finish(Some(&t));
         let inc = &incidents[0];
         assert_eq!(inc.telemetry_window, Some(3));
@@ -749,10 +792,12 @@ mod tests {
             },
             140,
             &res,
-            3,
-            8,
-            2,
-            4,
+            QueueView {
+                depth: 3,
+                capacity: 8,
+                tracked_tenants: 2,
+                tenant_quota: 4,
+            },
         );
         let mut incidents = f.finish(Some(&t));
         // Exercise the resident-list serde too.
@@ -797,7 +842,17 @@ mod tests {
         ];
         let mut f = FlightRecorder::new(FlightConfig::default());
         for (i, &tr) in triggers.iter().enumerate() {
-            f.trigger(tr, 100 * (i as u64 + 1), &res, 1, 4, 1, 2);
+            f.trigger(
+                tr,
+                100 * (i as u64 + 1),
+                &res,
+                QueueView {
+                    depth: 1,
+                    capacity: 4,
+                    tracked_tenants: 1,
+                    tenant_quota: 2,
+                },
+            );
         }
         for inc in f.finish(None) {
             let back = IncidentReport::from_json(&inc.to_json()).expect("round trip");

@@ -36,7 +36,7 @@ pub use cosim::{
     compile_plan, run_transfers, run_transfers_serial, CompiledPlan, CosimError, CosimReport,
     CosimTransfer, LinkFaultModel, PlanExecutor, TargetedFlip, TransferShape,
 };
-pub use flight::{FlightConfig, FlightRecorder, IncidentReport, IncidentTrigger};
+pub use flight::{FlightConfig, FlightRecorder, IncidentReport, IncidentTrigger, QueueView};
 pub use launch::{
     Admission, AlignmentWindow, AttemptSuccess, CompileDecision, ExecuteFailure, LaunchEngine,
     Recovery,

@@ -15,11 +15,12 @@
 //!   window; each batch dispatches through [`Runtime::launch_at`] at its
 //!   dispatch cycle and its service time is the launch's
 //!   [`LaunchOutcome::timeline_cycles`](crate::runtime::LaunchOutcome::timeline_cycles).
-//! - Per-request enqueue→complete latency lands in
-//!   [`CycleHistogram`]s (global and per-tenant) and as
-//!   `Request*`/`Batch*` events on [`SERVING_LANE`], kept off the chip
-//!   and runtime lanes so launch traces stay comparable with or without
-//!   a frontend.
+//! - One event stream: each serving fact is a single `Request*`/`Batch*`
+//!   event on [`SERVING_LANE`] (off the chip and runtime lanes, so launch
+//!   traces compare with or without a frontend), and the trace, the
+//!   report's tallies and latency [`CycleHistogram`]s, the `serve.*`
+//!   metrics, telemetry, attribution and the flight recorder are all
+//!   folds of it.
 //!
 //! # Batch-window semantics
 //!
@@ -29,7 +30,8 @@
 //! requests (up to `max_batch`), never reordering past a
 //! different-model entry — strict queue order is preserved.
 
-use crate::flight::{FlightConfig, FlightRecorder, IncidentReport, IncidentTrigger};
+use crate::flight::{FlightConfig, FlightRecorder, IncidentReport, IncidentTrigger, QueueView};
+use crate::residency::{ResidencyManager, ResidencyStats};
 use crate::runtime::{mix64, ExecMode, Runtime, RuntimeError, EPOCH_GAP_CYCLES};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -37,10 +39,10 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
 use tsm_compiler::graph::Graph;
 use tsm_trace::profile::profile;
-use tsm_trace::telemetry::{self, Sampler, Telemetry, TelemetryConfig};
+use tsm_trace::telemetry::{series, Sampler, Telemetry, TelemetryConfig};
 use tsm_trace::{
     names, AttributionReport, CycleHistogram, EventKind, LatencyBreakdown, Metrics, RingSink,
-    RunMetrics, ShedReason, Tracer, SERVING_LANE,
+    RunMetrics, ShedReason, TraceSink, Tracer, SERVING_LANE,
 };
 
 /// Why admission control rejected a request.
@@ -192,6 +194,16 @@ impl<T> WorkQueue<T> {
     pub fn tracked_tenants(&self) -> usize {
         self.per_tenant.len()
     }
+
+    /// Occupancy against the admission bounds, as an incident captures it.
+    pub(crate) fn view(&self) -> QueueView {
+        QueueView {
+            depth: self.len() as u64,
+            capacity: self.capacity as u64,
+            tracked_tenants: self.tracked_tenants() as u64,
+            tenant_quota: self.tenant_quota as u64,
+        }
+    }
 }
 
 /// One offered inference request, in virtual time.
@@ -216,7 +228,9 @@ pub struct Request {
 
 /// Serving knobs. Everything is virtual cycles and seeds — a
 /// [`Server::serve`] run is a pure function of `(config, offered
-/// requests, runtime state)`.
+/// requests, runtime state)`. The `telemetry`, `attribution` and `flight`
+/// observers only fold the run's serving facts: switching one off removes
+/// its report field and changes nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Cycles the dispatcher waits after a request enters an empty queue
@@ -238,33 +252,14 @@ pub struct ServeConfig {
     /// timeline keeps only the `Request*`/`Batch*` events), and
     /// [`BatchRecord::certified`] reports the verdict.
     pub certify: bool,
-    /// Windowed telemetry sampling ([`tsm_trace::telemetry`]). `Some`
-    /// makes [`ServeReport::telemetry`] carry per-tenant throughput,
-    /// queue-depth, shed/expired and SLO-attainment series plus the
-    /// launches' link/chip heatmaps, all on `window`-cycle windows of the
-    /// serving timeline. `None` (the default) is the pre-feature single
-    /// branch: the report is bit-identical to a build without the
-    /// feature. Sampling never changes event sequences or any other
-    /// report field — it only observes.
+    /// Windowed telemetry ([`tsm_trace::telemetry`]), folded into
+    /// [`ServeReport::telemetry`].
     pub telemetry: Option<TelemetryConfig>,
-    /// Per-request causal latency attribution
-    /// ([`tsm_trace::attribution`]). `true` makes
-    /// [`ServeReport::attribution`] carry one
-    /// [`LatencyBreakdown`] per served request — stage components
-    /// summing *exactly* to the measured enqueue→complete latency,
-    /// verified for every request — aggregated into per-tenant/per-stage
-    /// metrics with a critical-stage verdict. `false` (the default) is
-    /// the pre-feature single branch: outcomes, traces and exporter
-    /// bytes stay bit-identical to a build without the feature.
+    /// Causal latency attribution ([`tsm_trace::attribution`]), folded
+    /// into [`ServeReport::attribution`].
     pub attribution: bool,
-    /// Bounded incident capture ([`crate::flight`]). `Some` arms a
-    /// [`FlightRecorder`] for the run: sheds, in-queue expiries, SLO
-    /// misses, faulted launches (replays/failovers) and Deviant
-    /// certified batches snapshot the serving trace tail, the residency
-    /// manager, and the queue state into [`ServeReport::incidents`],
-    /// with the telemetry windows bracketing each incident attached at
-    /// finish. `None` (the default) records nothing and changes
-    /// nothing.
+    /// Bounded incident capture ([`crate::flight`]), folded into
+    /// [`ServeReport::incidents`].
     pub flight: Option<FlightConfig>,
 }
 
@@ -337,7 +332,7 @@ pub struct BatchRecord {
 }
 
 /// Per-tenant fairness accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Tenant id.
     pub tenant: u32,
@@ -486,8 +481,26 @@ impl Server {
     /// that is still open.
     ///
     /// Pure virtual time: the same `(config, offered, runtime)` always
-    /// produces the same report, bit for bit.
+    /// produces the same report, bit for bit. The runtime's own telemetry
+    /// setting is restored before returning, on success and error alike.
     pub fn serve(&mut self, offered: &[Request]) -> Result<ServeReport, RuntimeError> {
+        let prior = self.rt.telemetry_cfg();
+        // Serving telemetry arms the executor too, so each batch's launch
+        // carries the link/chip heatmaps the serving sampler merges.
+        if let Some(tc) = self.cfg.telemetry {
+            self.rt.set_telemetry(tc);
+        }
+        let report = self.serve_timeline(offered);
+        self.rt.clear_telemetry();
+        if let Some(tc) = prior {
+            self.rt.set_telemetry(tc);
+        }
+        report
+    }
+
+    /// The discrete-event loop behind [`Server::serve`]. Each serving fact
+    /// is built once, as one [`EventKind`], and handed to [`Observers::emit`].
+    fn serve_timeline(&mut self, offered: &[Request]) -> Result<ServeReport, RuntimeError> {
         if self.cfg.certify && self.rt.exec_mode() != ExecMode::Datapath {
             return Err(RuntimeError::Execution(
                 "certify requires ExecMode::Datapath (statistical launches carry no delivery manifest)"
@@ -498,71 +511,34 @@ impl Server {
         let mut order: Vec<usize> = (0..offered.len()).collect();
         order.sort_by_key(|&i| offered[i].at);
 
-        let metrics = Metrics::default();
         let user_sink = self.rt.sink.clone();
-        let mut stracer = Tracer::new(user_sink.as_deref());
-
-        // Telemetry is observation-only: every branch below that touches
-        // the sampler does nothing else, so a `telemetry: None` run is
-        // bit-identical to a pre-feature build (pinned by the
-        // `telemetry` integration suite). Enabling it also arms the
-        // runtime's executor, so each batch's launch carries link/chip
-        // heatmaps for the serving sampler to merge.
-        let mut sampler = self.cfg.telemetry.map(Sampler::new);
-        if let Some(tc) = self.cfg.telemetry {
-            self.rt.set_telemetry(tc);
+        let residency_before = self.rt.residency.stats();
+        let mut tenants = BTreeMap::new();
+        for r in offered {
+            tenants.entry(r.tenant).or_insert_with(|| TenantLog {
+                stats: TenantStats {
+                    tenant: r.tenant,
+                    ..TenantStats::default()
+                },
+                label: self.tenant_label(r.tenant),
+            });
         }
-        // Attribution and the flight recorder are observation-only too:
-        // both collect into their own side structures (`ServeReport::
-        // attribution` / `ServeReport::incidents`), never into the serve
-        // metrics or the trace, so disabling either is bit-identical to a
-        // pre-feature build (pinned by the attribution/flight suites).
-        let mut breakdowns: Option<Vec<LatencyBreakdown>> = self.cfg.attribution.then(Vec::new);
-        let mut flight = self.cfg.flight.map(FlightRecorder::new);
-        let queue_capacity = self.cfg.queue_capacity as u64;
-        let tenant_quota = self.cfg.tenant_quota as u64;
-        let tenant_names = self.tenant_names.clone();
-        let label_of = |t: u32| -> String {
-            tenant_names
-                .get(&t)
-                .cloned()
-                .unwrap_or_else(|| format!("tenant{t}"))
+        let mut obs = Observers {
+            offered,
+            tracer: Tracer::new(user_sink.as_deref()),
+            metrics: Metrics::default(),
+            tenants,
+            outcomes: vec![RequestOutcome::Shed; offered.len()],
+            batches: Vec::new(),
+            max_depth: 0,
+            window_deadline: 0,
+            sampler: self.cfg.telemetry.map(Sampler::new),
+            breakdowns: self.cfg.attribution.then(Vec::new),
+            flight: self.cfg.flight.map(FlightRecorder::new),
         };
-
-        #[derive(Debug, Clone, Copy)]
-        struct Pending {
-            id: u32,
-            model: u32,
-            tenant: u32,
-            arrival: u64,
-            deadline: u64,
-        }
-        let mut queue: WorkQueue<Pending> =
+        // Queue entries are request ids into `offered`.
+        let mut queue: WorkQueue<u32> =
             WorkQueue::new(self.cfg.queue_capacity).with_tenant_quota(self.cfg.tenant_quota);
-
-        let mut outcomes = vec![RequestOutcome::Shed; offered.len()];
-        let mut tenants: BTreeMap<u32, TenantStats> = BTreeMap::new();
-        fn tenant_entry(tenants: &mut BTreeMap<u32, TenantStats>, t: u32) -> &mut TenantStats {
-            tenants.entry(t).or_insert_with(|| TenantStats {
-                tenant: t,
-                offered: 0,
-                served: 0,
-                shed: 0,
-                shed_queue_full: 0,
-                shed_over_quota: 0,
-                expired: 0,
-                latency: CycleHistogram::default(),
-            })
-        }
-
-        let res_before = self.rt.residency.stats();
-        let mut latency = CycleHistogram::default();
-        let mut batches: Vec<BatchRecord> = Vec::new();
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        let mut expired = 0u64;
-        let mut makespan = 0u64;
-        let mut max_depth = 0u64;
         let mut server_free_at = 0u64;
         // Opens when a request enters an empty queue; dispatch happens at
         // `max(server_free_at, window_deadline)`.
@@ -586,291 +562,88 @@ impl Server {
             };
 
             if arrival_now {
-                let id = order[next];
+                let r = offered[order[next]];
+                let request = order[next] as u32;
                 next += 1;
-                let r = offered[id];
-                let stats = tenant_entry(&mut tenants, r.tenant);
-                stats.offered += 1;
                 let was_empty = queue.is_empty();
-                let deadline = r.at.saturating_add(r.deadline_slack);
-                let pending = Pending {
-                    id: id as u32,
-                    model: r.model,
-                    tenant: r.tenant,
-                    arrival: r.at,
-                    deadline,
-                };
-                match queue.try_push(r.priority, deadline, r.tenant, pending) {
+                let kind = match queue.try_push(r.priority, r.deadline(), r.tenant, request) {
                     Ok(()) => {
                         if was_empty {
                             window_deadline = r.at + self.cfg.batch_window;
                         }
-                        metrics.inc(names::SERVE_ENQUEUED, 1);
-                        max_depth = max_depth.max(queue.len() as u64);
-                        if let Some(s) = sampler.as_mut() {
-                            s.count(
-                                telemetry::series::SERVE_ENQUEUED,
-                                &label_of(r.tenant),
-                                r.at,
-                                1,
-                            );
-                            s.level(
-                                telemetry::series::SERVE_QUEUE_DEPTH,
-                                "",
-                                r.at,
-                                queue.len() as u64,
-                            );
-                        }
-                        stracer.instant(
-                            r.at,
-                            SERVING_LANE,
-                            EventKind::RequestEnqueue {
-                                tenant: r.tenant,
-                                request: id as u32,
-                            },
-                        );
-                        if let Some(f) = flight.as_mut() {
-                            f.observe(
-                                r.at,
-                                EventKind::RequestEnqueue {
-                                    tenant: r.tenant,
-                                    request: id as u32,
-                                },
-                            );
+                        EventKind::RequestEnqueue {
+                            tenant: r.tenant,
+                            request,
                         }
                     }
-                    Err(why) => {
-                        shed += 1;
-                        stats.shed += 1;
-                        outcomes[id] = RequestOutcome::Shed;
-                        metrics.inc(names::SERVE_SHED, 1);
-                        if let Some(s) = sampler.as_mut() {
-                            s.count(telemetry::series::SERVE_SHED, &label_of(r.tenant), r.at, 1);
-                        }
-                        // Record *which* limit fired — backpressure and
-                        // quota enforcement are different operator
-                        // problems (grow the queue vs re-tier a tenant).
-                        let reason = match why {
-                            AdmitError::QueueFull => {
-                                stats.shed_queue_full += 1;
-                                metrics.inc(names::SERVE_SHED_QUEUE_FULL, 1);
-                                ShedReason::QueueFull
-                            }
-                            AdmitError::TenantOverQuota => {
-                                stats.shed_over_quota += 1;
-                                metrics.inc(names::SERVE_SHED_QUOTA, 1);
-                                ShedReason::TenantOverQuota
-                            }
-                        };
-                        stracer.instant(
-                            r.at,
-                            SERVING_LANE,
-                            EventKind::RequestShed {
-                                tenant: r.tenant,
-                                request: id as u32,
-                                reason,
-                            },
-                        );
-                        if let Some(f) = flight.as_mut() {
-                            f.observe(
-                                r.at,
-                                EventKind::RequestShed {
-                                    tenant: r.tenant,
-                                    request: id as u32,
-                                    reason,
-                                },
-                            );
-                            f.trigger(
-                                IncidentTrigger::Shed {
-                                    request: id as u32,
-                                    tenant: r.tenant,
-                                    reason,
-                                },
-                                r.at,
-                                &self.rt.residency,
-                                queue.len() as u64,
-                                queue_capacity,
-                                queue.tracked_tenants() as u64,
-                                tenant_quota,
-                            );
-                        }
-                    }
-                }
+                    // Record *which* limit fired — backpressure and quota
+                    // enforcement are different operator problems (grow
+                    // the queue vs re-tier a tenant).
+                    Err(why) => EventKind::RequestShed {
+                        tenant: r.tenant,
+                        request,
+                        reason: match why {
+                            AdmitError::QueueFull => ShedReason::QueueFull,
+                            AdmitError::TenantOverQuota => ShedReason::TenantOverQuota,
+                        },
+                    },
+                };
+                obs.emit(r.at, kind, queue.view(), &self.rt.residency)?;
                 continue;
             }
 
-            // Dispatch: head plus successive same-model followers, in
+            // Dispatch: the head plus successive same-model followers, in
             // strict queue order, up to max_batch. Deadlines are enforced
             // here, in virtual time: a popped request whose deadline has
-            // already passed is dropped as Expired instead of launched —
-            // its answer could only arrive uselessly late, and launching
-            // it would delay every live request behind it.
+            // already passed expires instead of launching — its answer
+            // could only arrive uselessly late, and launching it would
+            // delay every live request behind it. An expired follower
+            // consumes no batch slot.
             let t = dispatch_at.expect("queue nonempty");
-            #[allow(clippy::too_many_arguments)]
-            fn expire_one(
-                p: Pending,
-                t: u64,
-                outcomes: &mut [RequestOutcome],
-                tenants: &mut BTreeMap<u32, TenantStats>,
-                metrics: &Metrics,
-                stracer: &mut Tracer<'_>,
-                expired: &mut u64,
-                sampler: &mut Option<Sampler>,
-                label: &str,
-            ) {
-                *expired += 1;
-                outcomes[p.id as usize] = RequestOutcome::Expired {
-                    deadline: p.deadline,
-                    at: t,
-                };
-                metrics.inc(names::SERVE_EXPIRED, 1);
-                tenant_entry(tenants, p.tenant).expired += 1;
-                // An expired request is by definition an SLO miss: it was
-                // never answered at all.
-                if let Some(s) = sampler.as_mut() {
-                    s.count(telemetry::series::SERVE_EXPIRED, label, t, 1);
-                    s.count(telemetry::series::SLO_MISSED, label, t, 1);
-                }
-                stracer.instant(
-                    t,
-                    SERVING_LANE,
-                    EventKind::RequestExpired {
-                        tenant: p.tenant,
-                        request: p.id,
-                        late: t - p.deadline,
-                    },
-                );
-            }
-            let mut head = None;
-            while let Some(p) = queue.pop() {
-                if p.deadline < t {
-                    expire_one(
-                        p,
-                        t,
-                        &mut outcomes,
-                        &mut tenants,
-                        &metrics,
-                        &mut stracer,
-                        &mut expired,
-                        &mut sampler,
-                        &label_of(p.tenant),
-                    );
-                    if let Some(f) = flight.as_mut() {
-                        f.observe(
-                            t,
-                            EventKind::RequestExpired {
-                                tenant: p.tenant,
-                                request: p.id,
-                                late: t - p.deadline,
-                            },
-                        );
-                        f.trigger(
-                            IncidentTrigger::Expired {
-                                request: p.id,
-                                tenant: p.tenant,
-                                late: t - p.deadline,
-                            },
-                            t,
-                            &self.rt.residency,
-                            queue.len() as u64,
-                            queue_capacity,
-                            queue.tracked_tenants() as u64,
-                            tenant_quota,
-                        );
-                    }
-                } else {
-                    head = Some(p);
+            let mut batch: Vec<u32> = Vec::new();
+            while batch.len() < self.cfg.max_batch.max(1) {
+                let Some(&request) = queue.peek() else { break };
+                let r = offered[request as usize];
+                if batch
+                    .first()
+                    .is_some_and(|&head| offered[head as usize].model != r.model)
+                {
                     break;
                 }
+                queue.pop();
+                if r.deadline() < t {
+                    let kind = EventKind::RequestExpired {
+                        tenant: r.tenant,
+                        request,
+                        late: t - r.deadline(),
+                    };
+                    obs.emit(t, kind, queue.view(), &self.rt.residency)?;
+                } else {
+                    batch.push(request);
+                }
             }
-            let Some(head) = head else {
+            let Some(&head) = batch.first() else {
                 // Every queued request had expired; the next arrival (if
                 // any) reopens the batch window on an empty queue.
                 continue;
             };
-            let mut batch = vec![head];
-            while batch.len() < self.cfg.max_batch.max(1)
-                && queue.peek().is_some_and(|p| p.model == head.model)
-            {
-                let p = queue.pop().expect("peeked");
-                if p.deadline < t {
-                    // An expired follower is dropped without consuming a
-                    // batch slot.
-                    expire_one(
-                        p,
-                        t,
-                        &mut outcomes,
-                        &mut tenants,
-                        &metrics,
-                        &mut stracer,
-                        &mut expired,
-                        &mut sampler,
-                        &label_of(p.tenant),
-                    );
-                    if let Some(f) = flight.as_mut() {
-                        f.observe(
-                            t,
-                            EventKind::RequestExpired {
-                                tenant: p.tenant,
-                                request: p.id,
-                                late: t - p.deadline,
-                            },
-                        );
-                        f.trigger(
-                            IncidentTrigger::Expired {
-                                request: p.id,
-                                tenant: p.tenant,
-                                late: t - p.deadline,
-                            },
-                            t,
-                            &self.rt.residency,
-                            queue.len() as u64,
-                            queue_capacity,
-                            queue.tracked_tenants() as u64,
-                            tenant_quota,
-                        );
-                    }
-                } else {
-                    batch.push(p);
-                }
-            }
-            let batch_idx = batches.len() as u32;
+            let model = offered[head as usize].model;
+            let batch_idx = obs.batches.len() as u32;
             let size = batch.len() as u32;
             let launch_seed = mix64(self.cfg.seed, batch_idx as u64);
-            if let Some(s) = sampler.as_mut() {
-                // Post-dispatch depth: how much work the batch left behind.
-                s.level(
-                    telemetry::series::SERVE_QUEUE_DEPTH,
-                    "",
-                    t,
-                    queue.len() as u64,
-                );
-            }
-            stracer.instant(
-                t,
-                SERVING_LANE,
-                EventKind::BatchBegin {
-                    batch: batch_idx,
-                    size,
-                },
-            );
-            if let Some(f) = flight.as_mut() {
-                f.observe(
-                    t,
-                    EventKind::BatchBegin {
-                        batch: batch_idx,
-                        size,
-                    },
-                );
-            }
-            let graph = (self.models[head.model as usize])(size);
+            let kind = EventKind::BatchBegin {
+                batch: batch_idx,
+                size,
+            };
+            obs.emit(t, kind, queue.view(), &self.rt.residency)?;
+            let graph = (self.models[model as usize])(size);
             let (out, certified) = if self.cfg.certify {
                 // Certified launches run base-0 into a private scratch
                 // ring so the profiler's plan-vs-actual join sees exactly
                 // one launch at its planned coordinates.
                 let scratch = Arc::new(RingSink::new(1 << 18));
                 self.rt
-                    .set_trace_sink(Arc::clone(&scratch) as Arc<dyn tsm_trace::TraceSink>);
+                    .set_trace_sink(Arc::clone(&scratch) as Arc<dyn TraceSink>);
                 let out = self.rt.launch_at(&graph, launch_seed, 0);
                 match &user_sink {
                     Some(s) => self.rt.set_trace_sink(Arc::clone(s)),
@@ -890,92 +663,201 @@ impl Server {
             };
             let completion = t + out.timeline_cycles;
             server_free_at = completion;
-            makespan = makespan.max(completion);
-            // Merge the launch's link/chip heatmaps onto the serving
-            // timeline. Certified launches run base-0 into a scratch sink,
-            // so their window coordinates are not on this timeline — their
-            // heatmaps stay on the batch's own outcome record instead.
-            if !self.cfg.certify {
-                if let (Some(s), Some(lt)) = (sampler.as_mut(), out.telemetry.as_ref()) {
-                    s.absorb(lt);
-                }
-            }
-            metrics.inc(names::SERVE_BATCHES, 1);
-            metrics.observe_cycles(names::SERVE_BATCH_SIZE, size as u64);
-            for p in &batch {
-                let lat = completion - p.arrival;
-                outcomes[p.id as usize] = RequestOutcome::Served {
+            let attempts = out.attempts();
+            obs.launched(
+                BatchRecord {
                     batch: batch_idx,
+                    model,
+                    size,
+                    dispatch: t,
                     completion,
-                    latency: lat,
+                    seed: launch_seed,
+                    attempts,
+                    certified,
+                    outcome: out,
+                },
+                window_deadline,
+            );
+            for &request in &batch {
+                let r = offered[request as usize];
+                let kind = EventKind::RequestComplete {
+                    tenant: r.tenant,
+                    request,
+                    latency: completion - r.at,
                 };
-                served += 1;
-                latency.observe(lat);
-                metrics.inc(names::SERVE_SERVED, 1);
-                metrics.observe_cycles(names::SERVE_LATENCY, lat);
-                let stats = tenant_entry(&mut tenants, p.tenant);
-                stats.served += 1;
-                stats.latency.observe(lat);
-                if let Some(s) = sampler.as_mut() {
-                    let lbl = label_of(p.tenant);
-                    s.count(telemetry::series::SERVE_THROUGHPUT, &lbl, completion, 1);
-                    // A served request meets its SLO when its answer
-                    // arrives by its deadline (virtual time, so exact).
-                    let slo = if completion <= p.deadline {
-                        telemetry::series::SLO_MET
-                    } else {
-                        telemetry::series::SLO_MISSED
-                    };
-                    s.count(slo, &lbl, completion, 1);
+                obs.emit(completion, kind, queue.view(), &self.rt.residency)?;
+            }
+            let kind = EventKind::BatchEnd {
+                batch: batch_idx,
+                attempts,
+            };
+            obs.emit(completion, kind, queue.view(), &self.rt.residency)?;
+        }
+        obs.finish(&self.rt.residency, &residency_before)
+    }
+}
+
+impl Request {
+    /// The cycle by which the tenant wants the answer.
+    fn deadline(&self) -> u64 {
+        self.at.saturating_add(self.deadline_slack)
+    }
+}
+
+/// One tenant's accounting, with its telemetry label resolved once.
+struct TenantLog {
+    stats: TenantStats,
+    label: String,
+}
+
+/// Everything one serve run records, folded from its single stream of
+/// serving facts: the trace sink, the report's outcomes and totals, the
+/// `serve.*` metrics, per-tenant stats, the telemetry sampler, latency
+/// attribution and the flight recorder. Each fact reaches every observer
+/// through one [`Observers::emit`] call, so no two of them can disagree
+/// about what happened or when.
+struct Observers<'a> {
+    offered: &'a [Request],
+    /// Stamps each fact's serving-lane event and records it in the
+    /// caller's trace sink, if any.
+    tracer: Tracer<'a>,
+    metrics: Metrics,
+    tenants: BTreeMap<u32, TenantLog>,
+    outcomes: Vec<RequestOutcome>,
+    batches: Vec<BatchRecord>,
+    max_depth: u64,
+    /// The batch window the current batch was dispatched under.
+    window_deadline: u64,
+    sampler: Option<Sampler>,
+    breakdowns: Option<Vec<LatencyBreakdown>>,
+    flight: Option<FlightRecorder>,
+}
+
+impl Observers<'_> {
+    /// Records one serving fact at `cycle`, with the queue as it stands
+    /// after the fact, in every observer. Fails only when a served
+    /// request's latency breakdown does not sum to its latency.
+    fn emit(
+        &mut self,
+        cycle: u64,
+        kind: EventKind,
+        queue: QueueView,
+        residency: &ResidencyManager,
+    ) -> Result<(), RuntimeError> {
+        let event = self.tracer.stamp(cycle, SERVING_LANE, kind);
+        if let Some(f) = &mut self.flight {
+            f.record(event);
+        }
+        self.max_depth = self.max_depth.max(queue.depth);
+        let fired = match kind {
+            EventKind::RequestEnqueue { tenant, .. } => {
+                let log = self.tenants.get_mut(&tenant).expect("an offered tenant");
+                log.stats.offered += 1;
+                self.metrics.inc(names::SERVE_ENQUEUED, 1);
+                if let Some(s) = &mut self.sampler {
+                    s.count(series::SERVE_ENQUEUED, &log.label, cycle, 1);
+                    s.level(series::SERVE_QUEUE_DEPTH, "", cycle, queue.depth);
                 }
-                stracer.instant(
-                    completion,
-                    SERVING_LANE,
-                    EventKind::RequestComplete {
-                        tenant: p.tenant,
-                        request: p.id,
-                        latency: lat,
-                    },
-                );
-                if let Some(f) = flight.as_mut() {
-                    f.observe(
-                        completion,
-                        EventKind::RequestComplete {
-                            tenant: p.tenant,
-                            request: p.id,
-                            latency: lat,
-                        },
-                    );
-                    if completion > p.deadline {
-                        f.trigger(
-                            IncidentTrigger::SloMiss {
-                                request: p.id,
-                                tenant: p.tenant,
-                                late: completion - p.deadline,
-                            },
-                            completion,
-                            &self.rt.residency,
-                            queue.len() as u64,
-                            queue_capacity,
-                            queue.tracked_tenants() as u64,
-                            tenant_quota,
-                        );
+                [None, None]
+            }
+            EventKind::RequestShed {
+                tenant,
+                request,
+                reason,
+            } => {
+                let log = self.tenants.get_mut(&tenant).expect("an offered tenant");
+                log.stats.offered += 1;
+                log.stats.shed += 1;
+                self.metrics.inc(names::SERVE_SHED, 1);
+                let (by_reason, counter) = match reason {
+                    ShedReason::QueueFull => {
+                        (&mut log.stats.shed_queue_full, names::SERVE_SHED_QUEUE_FULL)
                     }
+                    ShedReason::TenantOverQuota => {
+                        (&mut log.stats.shed_over_quota, names::SERVE_SHED_QUOTA)
+                    }
+                };
+                *by_reason += 1;
+                self.metrics.inc(counter, 1);
+                if let Some(s) = &mut self.sampler {
+                    s.count(series::SERVE_SHED, &log.label, cycle, 1);
                 }
-                if let Some(bd) = breakdowns.as_mut() {
+                let shed = IncidentTrigger::Shed {
+                    request,
+                    tenant,
+                    reason,
+                };
+                [Some(shed), None]
+            }
+            EventKind::RequestExpired {
+                tenant,
+                request,
+                late,
+            } => {
+                self.outcomes[request as usize] = RequestOutcome::Expired {
+                    deadline: self.offered[request as usize].deadline(),
+                    at: cycle,
+                };
+                self.metrics.inc(names::SERVE_EXPIRED, 1);
+                let log = self.tenants.get_mut(&tenant).expect("an offered tenant");
+                log.stats.expired += 1;
+                // An expired request is by definition an SLO miss: it was
+                // never answered at all.
+                if let Some(s) = &mut self.sampler {
+                    s.count(series::SERVE_EXPIRED, &log.label, cycle, 1);
+                    s.count(series::SLO_MISSED, &log.label, cycle, 1);
+                }
+                let expired = IncidentTrigger::Expired {
+                    request,
+                    tenant,
+                    late,
+                };
+                [Some(expired), None]
+            }
+            EventKind::RequestComplete {
+                tenant,
+                request,
+                latency,
+            } => {
+                let b = self.batches.last().expect("completions follow a launch");
+                let r = self.offered[request as usize];
+                self.outcomes[request as usize] = RequestOutcome::Served {
+                    batch: b.batch,
+                    completion: cycle,
+                    latency,
+                };
+                self.metrics.inc(names::SERVE_SERVED, 1);
+                self.metrics.observe_cycles(names::SERVE_LATENCY, latency);
+                let log = self.tenants.get_mut(&tenant).expect("an offered tenant");
+                log.stats.served += 1;
+                log.stats.latency.observe(latency);
+                // A served request meets its SLO when its answer arrives
+                // by its deadline (virtual time, so exact).
+                let missed = cycle > r.deadline();
+                if let Some(s) = &mut self.sampler {
+                    s.count(series::SERVE_THROUGHPUT, &log.label, cycle, 1);
+                    let slo = if missed {
+                        series::SLO_MISSED
+                    } else {
+                        series::SLO_MET
+                    };
+                    s.count(slo, &log.label, cycle, 1);
+                }
+                if let Some(bd) = &mut self.breakdowns {
                     // The causal join: the dispatch point, the window the
                     // batch waited on, and the launch's own timeline
                     // decomposition. `from_dispatch` verifies the sum
                     // identity, so every served request either carries an
                     // exact breakdown or the serve run fails loudly.
-                    let b = LatencyBreakdown::from_dispatch(
-                        p.id,
-                        p.tenant,
-                        batch_idx,
-                        p.arrival,
-                        t,
-                        window_deadline,
-                        completion,
+                    let out = &b.outcome;
+                    let breakdown = LatencyBreakdown::from_dispatch(
+                        request,
+                        tenant,
+                        b.batch,
+                        r.at,
+                        b.dispatch,
+                        self.window_deadline,
+                        cycle,
                         out.alignment_cycles,
                         out.span_cycles,
                         out.attempts(),
@@ -984,93 +866,100 @@ impl Server {
                         out.reuses(),
                     )
                     .map_err(|e| RuntimeError::Execution(format!("attribution: {e}")))?;
-                    bd.push(b);
+                    bd.push(breakdown);
                 }
+                let slo_miss = missed.then(|| IncidentTrigger::SloMiss {
+                    request,
+                    tenant,
+                    late: cycle - r.deadline(),
+                });
+                [slo_miss, None]
             }
-            stracer.instant(
-                completion,
-                SERVING_LANE,
-                EventKind::BatchEnd {
-                    batch: batch_idx,
-                    attempts: out.attempts(),
-                },
-            );
-            if let Some(f) = flight.as_mut() {
-                f.observe(
-                    completion,
-                    EventKind::BatchEnd {
-                        batch: batch_idx,
-                        attempts: out.attempts(),
-                    },
-                );
-                if certified == Some(false) {
-                    f.trigger(
-                        IncidentTrigger::Deviant { batch: batch_idx },
-                        completion,
-                        &self.rt.residency,
-                        queue.len() as u64,
-                        queue_capacity,
-                        queue.tracked_tenants() as u64,
-                        tenant_quota,
-                    );
+            EventKind::BatchBegin { size, .. } => {
+                self.metrics.inc(names::SERVE_BATCHES, 1);
+                self.metrics
+                    .observe_cycles(names::SERVE_BATCH_SIZE, u64::from(size));
+                // Post-dispatch depth: how much work the batch left behind.
+                if let Some(s) = &mut self.sampler {
+                    s.level(series::SERVE_QUEUE_DEPTH, "", cycle, queue.depth);
                 }
-                if !out.failovers.is_empty() || out.fec_total().uncorrectable > 0 {
-                    f.trigger(
-                        IncidentTrigger::Fault {
-                            batch: batch_idx,
-                            replays: u64::from(out.replays()),
-                            failovers: out.failovers.len() as u64,
-                        },
-                        completion,
-                        &self.rt.residency,
-                        queue.len() as u64,
-                        queue_capacity,
-                        queue.tracked_tenants() as u64,
-                        tenant_quota,
-                    );
-                }
+                [None, None]
             }
-            batches.push(BatchRecord {
-                batch: batch_idx,
-                model: head.model,
-                size,
-                dispatch: t,
-                completion,
-                seed: launch_seed,
-                attempts: out.attempts(),
-                certified,
-                outcome: out,
-            });
-        }
-
-        metrics.set_gauge(names::SERVE_QUEUE_DEPTH, max_depth);
-        // The run's residency behavior, as a delta over the manager's
-        // lifetime counters — per-launch metrics stay untouched, so
-        // single-model launch records remain bit-identical to the
-        // pre-residency runtime.
-        self.rt.residency.record_delta(&res_before, &metrics);
-        let telemetry = sampler.map(Sampler::finish);
-        let incidents = flight.map(|f| f.finish(telemetry.as_ref()));
-        let attribution = match breakdowns {
-            Some(b) => Some(
-                // Re-verifies every breakdown while aggregating — the
-                // per-request sums-to-total assertion of the serve run.
-                AttributionReport::from_breakdowns(b)
-                    .map_err(|e| RuntimeError::Execution(format!("attribution: {e}")))?,
-            ),
-            None => None,
+            EventKind::BatchEnd { batch, .. } => {
+                let b = self.batches.last().expect("a batch ends after its launch");
+                let out = &b.outcome;
+                let faulted = !out.failovers.is_empty() || out.fec_total().uncorrectable > 0;
+                [
+                    (b.certified == Some(false)).then_some(IncidentTrigger::Deviant { batch }),
+                    faulted.then(|| IncidentTrigger::Fault {
+                        batch,
+                        replays: u64::from(out.replays()),
+                        failovers: out.failovers.len() as u64,
+                    }),
+                ]
+            }
+            other => unreachable!("{} is not a serving fact", other.name()),
         };
+        if let Some(f) = &mut self.flight {
+            for trigger in fired.into_iter().flatten() {
+                f.trigger(trigger, cycle, residency, queue);
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands the observers a batch's launch before its completions are
+    /// emitted: attribution and the Deviant/Fault triggers read it from
+    /// the record, and the launch's link/chip heatmaps merge onto the
+    /// serving timeline. Certified launches run base-0 into a scratch
+    /// sink, so their window coordinates are not on this timeline — their
+    /// heatmaps stay on the batch's own outcome record instead.
+    fn launched(&mut self, record: BatchRecord, window_deadline: u64) {
+        if let (Some(s), Some(lt), None) = (
+            &mut self.sampler,
+            &record.outcome.telemetry,
+            record.certified,
+        ) {
+            s.absorb(lt);
+        }
+        self.window_deadline = window_deadline;
+        self.batches.push(record);
+    }
+
+    /// Seals the run into its report. The run's residency behaviour is
+    /// recorded as a delta over the manager's lifetime counters, so
+    /// per-launch metrics stay untouched.
+    fn finish(
+        self,
+        residency: &ResidencyManager,
+        before: &ResidencyStats,
+    ) -> Result<ServeReport, RuntimeError> {
+        self.metrics
+            .set_gauge(names::SERVE_QUEUE_DEPTH, self.max_depth);
+        residency.record_delta(before, &self.metrics);
+        let telemetry = self.sampler.map(Sampler::finish);
+        let incidents = self.flight.map(|f| f.finish(telemetry.as_ref()));
+        // Aggregation re-verifies every breakdown's sum identity.
+        let attribution = self
+            .breakdowns
+            .map(AttributionReport::from_breakdowns)
+            .transpose()
+            .map_err(|e| RuntimeError::Execution(format!("attribution: {e}")))?;
+        // The report's totals are folds of the per-tenant stats.
+        let tenants: Vec<TenantStats> = self.tenants.into_values().map(|t| t.stats).collect();
+        let mut latency = CycleHistogram::default();
+        tenants.iter().for_each(|t| latency.merge(&t.latency));
         Ok(ServeReport {
-            offered: offered.len() as u64,
-            served,
-            shed,
-            expired,
-            batches,
-            outcomes,
+            offered: self.offered.len() as u64,
+            served: tenants.iter().map(|t| t.served).sum(),
+            shed: tenants.iter().map(|t| t.shed).sum(),
+            expired: tenants.iter().map(|t| t.expired).sum(),
+            makespan: self.batches.iter().map(|b| b.completion).max().unwrap_or(0),
+            batches: self.batches,
+            outcomes: self.outcomes,
             latency,
-            tenants: tenants.into_values().collect(),
-            makespan,
-            metrics: metrics.snapshot(),
+            tenants,
+            metrics: self.metrics.snapshot(),
             telemetry,
             attribution,
             incidents,

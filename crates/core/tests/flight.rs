@@ -13,6 +13,8 @@
 //!   byte-reproducible from its seed, lossless through JSON.
 //! - **Telemetry bracketing**: each incident carries exactly the
 //!   telemetry windows `[w-1, w+1]` around its trigger cycle.
+//! - **Tail is a trace window**: each incident's tail is a contiguous run
+//!   of the serving-lane events the trace sink recorded.
 
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
@@ -22,7 +24,7 @@ use tsm_core::serving::{Request, ServeConfig, ServeReport, Server};
 use tsm_core::system::System;
 use tsm_topology::{LinkId, NodeId, TspId};
 use tsm_trace::telemetry::TelemetryConfig;
-use tsm_trace::{RingSink, TraceEvent, SERVING_LANE};
+use tsm_trace::{EventKind, RingSink, TraceEvent, SERVING_LANE};
 
 fn pipeline() -> Graph {
     let mut g = Graph::new();
@@ -282,4 +284,82 @@ fn telemetry_windows_bracket_each_incident() {
             }
         }
     }
+}
+
+/// The recorder's tail is a window of the trace itself: every incident's
+/// `trace_tail` is exactly a contiguous run of the serving-lane events
+/// the sink recorded (in record order, `seq` included), the last K before
+/// the trigger, ending with the event of the trigger's own request or
+/// batch.
+#[test]
+fn flight_tail_is_a_window_of_the_serving_trace() {
+    let check = |marginal: bool, seed: u64| -> Vec<IncidentReport> {
+        let sink = Arc::new(RingSink::new(1 << 16));
+        let mut rt = runtime().with_trace_sink(sink.clone());
+        if marginal {
+            make_marginal(&mut rt, NodeId(1));
+        }
+        let cfg = ServeConfig {
+            batch_window: 400,
+            max_batch: 4,
+            queue_capacity: 3,
+            tenant_quota: 2,
+            seed,
+            flight: Some(FLIGHT),
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(rt, cfg);
+        server.add_model(|_| pipeline());
+        let report = server.serve(&offered_hostile()).unwrap();
+        assert_eq!(sink.dropped(), 0);
+        let serving: Vec<TraceEvent> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.lane == SERVING_LANE)
+            .collect();
+        let incidents = report.incidents.unwrap();
+        for inc in &incidents {
+            let tail = &inc.trace_tail;
+            let start = serving
+                .windows(tail.len().max(1))
+                .position(|w| w == tail.as_slice())
+                .unwrap_or_else(|| panic!("incident {} tail is not a trace window", inc.seq));
+            assert!(
+                tail.len() == FLIGHT.trace_tail || start == 0,
+                "a short tail holds the whole trace so far"
+            );
+            let last = tail.last().expect("the trigger's own event");
+            assert_eq!(last.cycle, inc.cycle);
+            let own = match (inc.trigger, last.kind) {
+                (
+                    IncidentTrigger::Shed { request, .. },
+                    EventKind::RequestShed { request: r, .. },
+                )
+                | (
+                    IncidentTrigger::Expired { request, .. },
+                    EventKind::RequestExpired { request: r, .. },
+                )
+                | (
+                    IncidentTrigger::SloMiss { request, .. },
+                    EventKind::RequestComplete { request: r, .. },
+                ) => request == r,
+                (
+                    IncidentTrigger::Deviant { batch } | IncidentTrigger::Fault { batch, .. },
+                    EventKind::BatchEnd { batch: b, .. },
+                ) => batch == b,
+                _ => false,
+            };
+            assert!(own, "incident {} tail ends on {:?}", inc.seq, last.kind);
+        }
+        incidents
+    };
+    let clean = check(false, 42);
+    assert!(!clean.is_empty(), "the hostile workload captures incidents");
+    // A replaying launch ends its batch's run of the tail.
+    assert!(
+        (0..64u64).any(|seed| check(true, seed)
+            .iter()
+            .any(|i| i.trigger.kind() == "fault")),
+        "some seed in 0..64 faults on the marginal fabric"
+    );
 }

@@ -1,15 +1,21 @@
 //! Property coverage for the serving frontend: the `WorkQueue` really is
 //! a total order over `(priority, deadline, insertion_seq)` under
-//! arbitrary push/pop interleavings, and serving results are independent
+//! arbitrary push/pop interleavings, serving results are independent
 //! of batch width — identical per-request outcomes, only latency (and
-//! batching) differs.
+//! batching) differs — and the serve accounting closes on seeded
+//! adversarial traffic.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
+use tsm_core::flight::FlightConfig;
 use tsm_core::runtime::{Runtime, SparePolicy};
-use tsm_core::serving::{Request, RequestOutcome, ServeConfig, Server, WorkQueue};
+use tsm_core::serving::{Request, RequestOutcome, ServeConfig, Server, TenantStats, WorkQueue};
 use tsm_core::system::System;
 use tsm_topology::TspId;
+use tsm_trace::telemetry::{series, TelemetryConfig};
+use tsm_trace::{names, CycleHistogram, RingSink};
+use tsm_workloads::arrivals;
 
 /// Reference model: a flat list of `(priority, deadline, seq)` keys; pop
 /// removes the minimum. `Vec::swap_remove` + full scan — obviously
@@ -153,4 +159,110 @@ proptest! {
         let again = server(cfg(8)).serve(&offered).unwrap();
         prop_assert_eq!(again, wide);
     }
+}
+
+/// Serve accounting closes on seeded adversarial traffic — a tight queue,
+/// a tenant quota and deadlines tighter than a busy server can meet, with
+/// every observer on. On every seed, each request is served, shed or
+/// expired exactly once, and every view of the run (report totals,
+/// per-tenant stats, `serve.*` metrics, batch records, telemetry SLO
+/// series, attribution) counts the same requests.
+#[test]
+fn serve_accounting_closes_on_seeded_adversarial_traffic() {
+    let (mut queue_full, mut over_quota, mut expired) = (0, 0, 0);
+    for seed in 0..16u64 {
+        let streams = [
+            arrivals::poisson_arrivals(seed, 1.0 / 700.0, 60_000, 0, 1, 8_000),
+            arrivals::poisson_arrivals(seed ^ 0xA5A5, 1.0 / 400.0, 60_000, 1, 0, 3_000),
+            arrivals::poisson_arrivals(seed ^ 0x5A5A, 1.0 / 3_000.0, 60_000, 2, 1, 1 << 30),
+        ];
+        let offered: Vec<Request> = arrivals::merge(&streams)
+            .into_iter()
+            .map(|a| Request {
+                at: a.at,
+                tenant: a.tenant,
+                model: 0,
+                priority: a.priority,
+                deadline_slack: a.deadline_slack,
+            })
+            .collect();
+        let sink = Arc::new(RingSink::new(1 << 16));
+        let rt = Runtime::new(System::with_nodes(4).unwrap(), SparePolicy::PerSystem)
+            .with_trace_sink(sink);
+        let cfg = ServeConfig {
+            batch_window: 1_500,
+            max_batch: 4,
+            queue_capacity: 6,
+            tenant_quota: 3,
+            seed,
+            telemetry: Some(TelemetryConfig {
+                window: 8_192,
+                slo_permille: 990,
+            }),
+            attribution: true,
+            flight: Some(FlightConfig::default()),
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(rt, cfg);
+        server.add_model(tiny_model);
+        let r = server.serve(&offered).unwrap();
+
+        assert_eq!(r.offered, offered.len() as u64);
+        assert_eq!(r.offered, r.served + r.shed + r.expired, "seed {seed}");
+        let sum = |f: fn(&TenantStats) -> u64| r.tenants.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|t| t.offered), r.offered);
+        assert_eq!(sum(|t| t.served), r.served);
+        assert_eq!(sum(|t| t.shed), r.shed);
+        assert_eq!(sum(|t| t.expired), r.expired);
+        let mut merged = CycleHistogram::default();
+        for t in &r.tenants {
+            assert_eq!(t.shed_queue_full + t.shed_over_quota, t.shed);
+            assert_eq!(t.latency.count, t.served);
+            merged.merge(&t.latency);
+        }
+        assert_eq!(merged, r.latency, "seed {seed}");
+
+        let m = &r.metrics;
+        assert_eq!(m.counter(names::SERVE_ENQUEUED), r.offered - r.shed);
+        assert_eq!(m.counter(names::SERVE_SHED), r.shed);
+        assert_eq!(
+            m.counter(names::SERVE_SHED_QUEUE_FULL),
+            sum(|t| t.shed_queue_full)
+        );
+        assert_eq!(
+            m.counter(names::SERVE_SHED_QUOTA),
+            sum(|t| t.shed_over_quota)
+        );
+        assert_eq!(m.counter(names::SERVE_EXPIRED), r.expired);
+        assert_eq!(m.counter(names::SERVE_SERVED), r.served);
+        assert_eq!(m.counter(names::SERVE_BATCHES), r.batches.len() as u64);
+        assert_eq!(
+            r.batches.iter().map(|b| u64::from(b.size)).sum::<u64>(),
+            r.served
+        );
+
+        let tel = r.telemetry.as_ref().unwrap();
+        for t in &r.tenants {
+            let total = |name| {
+                tel.get(name, &format!("tenant{}", t.tenant))
+                    .map_or(0, |s| s.total())
+            };
+            assert_eq!(
+                total(series::SLO_MET) + total(series::SLO_MISSED),
+                t.served + t.expired,
+                "seed {seed} tenant {}",
+                t.tenant
+            );
+        }
+        assert_eq!(
+            r.attribution.as_ref().unwrap().breakdowns.len() as u64,
+            r.served
+        );
+
+        queue_full += sum(|t| t.shed_queue_full);
+        over_quota += sum(|t| t.shed_over_quota);
+        expired += r.expired;
+    }
+    // The traffic is adversarial enough to exercise every drop path.
+    assert!(queue_full > 0 && over_quota > 0 && expired > 0);
 }

@@ -15,10 +15,12 @@
 //!   and sampling itself never drops (it does not go through the sink).
 //! - **Escaping**: hostile tenant names survive the JSON and Perfetto
 //!   exports via the in-repo escapers.
+//! - **Restore**: a serve leaves the runtime's telemetry setting as the
+//!   caller set it, whether the serve succeeds or fails.
 
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
-use tsm_core::runtime::{ExecMode, LaunchOutcome, Runtime, SparePolicy};
+use tsm_core::runtime::{ExecMode, LaunchOutcome, Runtime, RuntimeError, SparePolicy};
 use tsm_core::serving::{Request, RequestOutcome, ServeConfig, ServeReport, Server};
 use tsm_core::system::System;
 use tsm_topology::TspId;
@@ -379,4 +381,61 @@ fn hostile_tenant_names_round_trip_through_both_exports() {
     let doc = chrome_trace_json_telemetry(&sink.sorted_events(), 0, &t);
     assert!(doc.contains(r#"serve.throughput[ten\"ant\\zero\n\u0001[end]]"#));
     assert!(!doc.contains('\u{1}'));
+}
+
+/// A serve arms telemetry only for its own run: afterwards the runtime
+/// samples exactly as the caller left it, on the `Ok` and `Err` exits
+/// alike.
+#[test]
+fn serve_restores_the_runtimes_telemetry_setting() {
+    type Served = (Result<ServeReport, RuntimeError>, Runtime);
+    fn serve_on(rt: Runtime, tel: Option<TelemetryConfig>, model: fn(u32) -> Graph) -> Served {
+        let cfg = ServeConfig {
+            batch_window: 500,
+            max_batch: 4,
+            seed: 42,
+            telemetry: tel,
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(rt, cfg);
+        server.add_model(model);
+        (server.serve(&offered_mixed()), server.into_runtime())
+    }
+    fn serving(_: u32) -> Graph {
+        pipeline()
+    }
+    /// Names a chip the 4-node system does not have, so its launch fails.
+    fn failing(_: u32) -> Graph {
+        let mut g = Graph::new();
+        g.add(TspId(9_999), OpKind::Compute { cycles: 1_000 }, vec![])
+            .unwrap();
+        g
+    }
+    let other = TelemetryConfig {
+        window: 1 << 20,
+        ..TEL
+    };
+
+    // A telemetry-on serve leaves nothing armed: the next plain launch is
+    // bit-identical to the same launch after a telemetry-off serve.
+    let (_, mut rt_off) = serve_on(runtime(), None, serving);
+    let (_, mut rt_on) = serve_on(runtime(), Some(TEL), serving);
+    let after_off = rt_off.launch(&pipeline(), 7).unwrap();
+    let after_on = rt_on.launch(&pipeline(), 7).unwrap();
+    assert!(after_on.telemetry.is_none(), "sampling left armed");
+    assert_eq!(after_on, after_off);
+
+    // A runtime the caller armed stays armed on its own window, whether
+    // the serve samples or not, and whether it succeeds or fails.
+    for tel in [None, Some(other)] {
+        let (res, rt) = serve_on(runtime().with_telemetry(TEL), tel, serving);
+        assert!(res.is_ok());
+        assert_eq!(rt.telemetry_cfg(), Some(TEL));
+    }
+    let (res, rt) = serve_on(runtime().with_telemetry(TEL), Some(other), failing);
+    assert!(res.is_err(), "the launch fails mid-serve");
+    assert_eq!(rt.telemetry_cfg(), Some(TEL));
+    let (res, rt) = serve_on(runtime(), Some(TEL), failing);
+    assert!(res.is_err());
+    assert_eq!(rt.telemetry_cfg(), None);
 }

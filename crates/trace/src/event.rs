@@ -2,6 +2,7 @@
 
 use crate::json::{Cursor, JsonWriter};
 use crate::sink::TraceSink;
+use crate::telemetry::Sampler;
 use std::collections::BTreeMap;
 
 /// Lane carrying runtime-level orchestration events (compile, blame,
@@ -462,18 +463,21 @@ impl EventKind {
     }
 }
 
-/// Emission helper owned by one instrumented run: holds the optional sink,
-/// the monotone sequence counter, and a cycle offset that relocates the
-/// run onto a caller-chosen timeline (the runtime uses this to place each
-/// replay epoch after the previous one).
+/// Emission helper owned by one instrumented run: holds the optional sink
+/// and telemetry [`Sampler`], the monotone sequence counter, and a cycle
+/// offset that relocates the run onto a caller-chosen timeline (the
+/// runtime uses this to place each replay epoch after the previous one).
 ///
-/// When no sink is attached — or the sink reports itself disabled, as
-/// [`crate::NullSink`] does — every emission is a single branch and the
-/// sequence counter never advances, so instrumented code does literally
-/// nothing beyond that branch.
+/// Each event is built once and handed to both observers: the sink
+/// records it, the sampler folds it into its heatmaps
+/// ([`Sampler::observe`]). With neither attached — or only a sink that
+/// reports itself disabled, as [`crate::NullSink`] does — every emission
+/// is a single branch and the sequence counter never advances, so
+/// instrumented code does literally nothing beyond that branch.
 #[derive(Debug)]
 pub struct Tracer<'a> {
     sink: Option<&'a dyn TraceSink>,
+    sampler: Option<&'a mut Sampler>,
     offset: u64,
     seq: u32,
 }
@@ -483,6 +487,7 @@ impl<'a> Tracer<'a> {
     pub fn new(sink: Option<&'a dyn TraceSink>) -> Self {
         Tracer {
             sink: sink.filter(|s| s.is_enabled()),
+            sampler: None,
             offset: 0,
             seq: 0,
         }
@@ -494,37 +499,67 @@ impl<'a> Tracer<'a> {
         self
     }
 
+    /// Also feeds every emitted event to `sampler`, at its
+    /// offset-adjusted cycle.
+    pub fn with_sampler(mut self, sampler: Option<&'a mut Sampler>) -> Self {
+        self.sampler = sampler;
+        self
+    }
+
     /// All subsequently emitted events have `offset` added to their cycle.
     pub fn set_offset(&mut self, offset: u64) {
         self.offset = offset;
     }
 
-    /// True when events are actually being recorded.
+    /// True when emitted events reach a sink or a sampler.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        self.sink.is_some()
+        self.sink.is_some() || self.sampler.is_some()
     }
 
     /// Emits an instant event at `cycle` (plus the configured offset).
+    #[inline]
     pub fn instant(&mut self, cycle: u64, lane: u32, kind: EventKind) {
         self.emit(cycle, 0, lane, kind);
     }
 
     /// Emits a span of `dur` cycles starting at `cycle`.
+    #[inline]
     pub fn span(&mut self, cycle: u64, dur: u64, lane: u32, kind: EventKind) {
         self.emit(cycle, dur, lane, kind);
     }
 
+    /// Emits an instant event and returns it. Unlike [`Tracer::instant`]
+    /// the event is built, and the sequence counter advances, even with
+    /// nothing attached — for callers that hand the same event to
+    /// observers of their own.
+    pub fn stamp(&mut self, cycle: u64, lane: u32, kind: EventKind) -> TraceEvent {
+        self.record(cycle, 0, lane, kind)
+    }
+
+    #[inline]
     fn emit(&mut self, cycle: u64, dur: u64, lane: u32, kind: EventKind) {
-        let Some(sink) = self.sink else { return };
-        let seq = self.seq;
-        self.seq += 1;
-        sink.record(TraceEvent {
+        if self.enabled() {
+            self.record(cycle, dur, lane, kind);
+        }
+    }
+
+    fn record(&mut self, cycle: u64, dur: u64, lane: u32, kind: EventKind) -> TraceEvent {
+        let event = TraceEvent {
             cycle: cycle + self.offset,
             lane,
-            seq,
+            seq: self.seq,
             dur,
             kind,
-        });
+        };
+        self.seq = self.seq.wrapping_add(1);
+        if let Some(sampler) = self.sampler.as_deref_mut() {
+            sampler.observe(&event);
+        }
+        if let Some(sink) = self.sink {
+            sink.record(event);
+        }
+        event
     }
 }
 

@@ -14,17 +14,19 @@
 //! same observation, which is what makes the empty series the identity
 //! of [`TimeSeries::merge`].
 //!
-//! Determinism: samples are taken on the same serial code paths that emit
-//! trace events (plan binding, the post-level merge loop, the serving
-//! dispatch loop), cycle coordinates are simulated — never wall clock —
-//! and the merged record sorts series by `(name, label)` and points by
-//! window. Two runs from the same seed therefore produce byte-identical
+//! Determinism: samples are folds of the events the simulator emits (the
+//! executor's [`crate::Tracer`] forwards each event to
+//! [`Sampler::observe`]; the serving loop hands over each serving fact),
+//! so they ride the trace's serial code paths; cycle coordinates are
+//! simulated, never wall clock; and the merged record sorts series by
+//! `(name, label)` and points by window. Two runs from the same seed therefore produce byte-identical
 //! [`Telemetry::to_json`] output, and a run with telemetry disabled is
 //! bit-identical to one that never had the feature (the sampler is
 //! observation-only; regression tests in `tsm-core` pin this).
 
 use std::collections::BTreeMap;
 
+use crate::event::{EventKind, TraceEvent};
 use crate::json::{Cursor, JsonWriter};
 
 /// Canonical series names. Labels carry the entity: tenant names for the
@@ -435,6 +437,31 @@ impl Sampler {
         let win = self.cfg.window_of(cycle);
         let slot = self.slot(name, label, SeriesKind::Counter, win);
         *slot = slot.saturating_add(by);
+    }
+
+    /// Folds one trace event into the heatmaps: a `Delivery` counts one
+    /// vector on `link{n}` at its cycle, and a `ChipExec` span counts its
+    /// cycles on `chip{lane}`. Every other kind is ignored. Fed by a
+    /// [`crate::Tracer`], so the heatmaps are a fold of the very events
+    /// the trace records.
+    pub fn observe(&mut self, event: &TraceEvent) {
+        match event.kind {
+            EventKind::Delivery { link, .. } => {
+                self.count(
+                    series::LINK_DELIVERIES,
+                    &format!("link{link}"),
+                    event.cycle,
+                    1,
+                );
+            }
+            EventKind::ChipExec { .. } => self.count_span(
+                series::CHIP_BUSY,
+                &format!("chip{}", event.lane),
+                event.cycle,
+                event.dur,
+            ),
+            _ => {}
+        }
     }
 
     /// Distributes a span of `dur` cycles starting at `start` across the

@@ -82,6 +82,10 @@ cargo run --release -p tsm-bench --bin repro telemetry-smoke
 # must sum exactly to its latency, with byte-reproducible incident
 # capture and the off-is-off identity for both features. Writes no files.
 cargo run --release -p tsm-bench --bin repro attribution-smoke
+# The end-to-end serving story with every observer on (trace, telemetry,
+# attribution, flight recorder); it asserts its own in-process rerun
+# identity, which `cargo test` never runs (it only builds examples).
+cargo run --release --example serving
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 # Rustdoc is part of the contract: broken intra-doc links and bad doc
